@@ -38,13 +38,19 @@ def _resolve_seed(seed) -> Seed:
         s = entropy_seed()
         click.echo(f"no seed given; using {s.master}", err=True)
         return s
-    return Seed(int(seed))
+    try:
+        return Seed(int(seed))
+    except ValueError as exc:
+        _fail(f"--seed: {exc}")
 
 
 def _resolve_jobs(jobs) -> int:
     if jobs is not None:
         return max(1, int(jobs))
-    return analysis.default_jobs()
+    try:
+        return analysis.default_jobs()
+    except ValueError as exc:
+        _fail(f"PERCOLAB_JOBS: {exc}")
 
 
 def _git_describe() -> str:

@@ -189,7 +189,8 @@ def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
                 recovered.add(v)
         counts.append((len(susceptible), len(exposed), len(infectious_age),
                        len(recovered)))
-        assert len(susceptible) + len(exposed) + len(infectious_age) + len(recovered) == n
+        if sum(counts[-1]) != n:
+            raise RuntimeError(f"step {t}: S+E+I+R = {sum(counts[-1])}, not n = {n}")
     recovered |= set(infectious_age)
     for v in exposed:
         recovered.add(v)

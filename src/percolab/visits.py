@@ -64,9 +64,9 @@ class VisitTrace:
     attempts: Optional[int] = None
 
     def check_disjoint(self) -> None:
-        assert not (self.final_q & self.final_r)
-        assert not (self.final_q & self.final_d)
-        assert not (self.final_r & self.final_d)
+        q, r, d = self.final_q, self.final_r, self.final_d
+        if q & r or q & d or r & d:
+            raise RuntimeError("visit sets Q, R and D overlap")
 
     @property
     def visited_size(self) -> int:
@@ -516,9 +516,3 @@ def plain_bfs(gp: PercolationGraph, s: int, cap: Optional[int] = None,
         trace = VisitTrace(rounds, set(q), r, set(), reason)
     trace.check_disjoint()
     return trace
-
-
-def bfs_visited_count(gp: PercolationGraph, s: int) -> int:
-    """cc(s): number of nodes the BFS visits (its component size)."""
-    t = plain_bfs(gp, s)
-    return t.visited_size

@@ -45,6 +45,27 @@ def test_unknown_flag_exits_2(runner):
     assert res.exit_code == 2
 
 
+def _json_error(res):
+    return json.loads(res.stderr.strip().splitlines()[-1])["error"]
+
+
+def test_negative_seed_exits_2_with_json_error(runner, tmp_path):
+    res = runner.invoke(main, ["generate", "--model", "swg", "--n", "10",
+                               "--seed", "-1", "--out", str(tmp_path / "g.edges")])
+    assert res.exit_code == 2
+    assert "--seed" in _json_error(res)
+    assert not (tmp_path / "g.edges").exists()
+
+
+def test_bad_jobs_env_exits_2_with_json_error(runner, tmp_path):
+    res = runner.invoke(main, ["scaling", "--model", "swg", "--p", "0.3",
+                               "--n-list", "64", "--trials", "2", "--seed", "1",
+                               "--out", str(tmp_path / "sc.csv")],
+                        env={"PERCOLAB_JOBS": "abc"})
+    assert res.exit_code == 2
+    assert "PERCOLAB_JOBS" in _json_error(res)
+
+
 @pytest.fixture(scope="module")
 def swg_fixture(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "swg.edges"

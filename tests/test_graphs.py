@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from percolab import graphs
 from percolab.graphs import (
     GenericGraph,
+    PercolationGraph,
     SmallWorldGraph,
     _decode_pair_indices,
     _subgraph_csr,
@@ -238,6 +241,112 @@ def test_diameter_matches_apsp_oracle():
         sub = _subgraph_csr(gp, np.array(sorted(comp)))
         full = dijkstra(sub, directed=False, unweighted=True)
         assert component_diameter(gp, comp) == int(full.max())
+
+
+def _apsp_diameter(g, component):
+    """Reference: all-pairs BFS over a CSR built straight from the edge
+    arrays, parallel edges and all."""
+    u, v = g.active_edge_arrays() if isinstance(g, PercolationGraph) else (g.edge_u, g.edge_v)
+    full = csr_matrix((np.ones(len(u)), (u, v)), shape=(g.n, g.n))
+    idx = np.array(sorted(component))
+    return int(dijkstra(full[idx][:, idx], directed=False, unweighted=True).max())
+
+
+def _top_components(gp, k=3):
+    return [c for c in connected_components(gp)[:k] if len(c) >= 2]
+
+
+def test_diameter_matches_apsp_on_random_graphs():
+    rng = Seed(15).generator()
+    checked = 0
+    for trial in range(200):
+        p = float(rng.uniform(0.3, 1.0))
+        kind = trial % 3
+        if kind == 0:
+            g = sample_swg_erdos(800, float(rng.uniform(0.5, 3.0)), rng)
+        elif kind == 1:
+            g = sample_swg_matching(800, rng)
+        else:
+            g = sample_regular(800, 3, rng)
+        gp = percolate(g, p, p, rng)
+        for comp in _top_components(gp):
+            assert component_diameter(gp, comp) == _apsp_diameter(gp, comp)
+            checked += 1
+    assert checked >= 400
+
+
+def test_diameter_of_trees_needs_no_sweep(monkeypatch):
+    sweeps = []
+    real = graphs._dijkstra
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_dijkstra", counted)
+    rng = Seed(16).generator()
+    # ring arcs: percolated swg without bridges
+    for _ in range(20):
+        g = sample_swg_erdos(500, 1.0, rng)
+        gp = percolate(g, float(rng.uniform(0.8, 0.99)), 0.0, rng)
+        for comp in _top_components(gp):
+            assert component_diameter(gp, comp) == len(comp) - 1
+    # random recursive trees: branchy, with centres that are a node or an edge
+    for m in list(range(2, 12)) + [50, 300, 1000]:
+        parent = np.array([int(rng.integers(i)) for i in range(1, m)], dtype=np.int64)
+        child = np.arange(1, m, dtype=np.int64)
+        tree = GenericGraph(m, parent, child)
+        assert component_diameter(tree, range(m)) == _apsp_diameter(tree, range(m))
+    assert sweeps == []
+
+
+def test_diameter_of_a_pure_cycle():
+    g = sample_swg_erdos(301, 0.0, Seed(17).generator())
+    gp = percolate(g, 1.0, 1.0, Seed(18).generator())
+    assert component_diameter(gp, range(301)) == 150
+
+
+def test_diameter_of_two_nodes():
+    g = GenericGraph(5, np.array([1]), np.array([3]))
+    assert component_diameter(g, {1, 3}) == 1
+
+
+def test_diameter_collapses_a_bridge_parallel_to_a_ring_edge():
+    # path 0-1-2 on the ring with bridge {0, 1} doubling the first edge
+    g = SmallWorldGraph(6, np.array([0]), np.array([1]), "matching")
+    ring = np.array([True, True, False, False, False, False])
+    gp = PercolationGraph(g, ring, np.array([True]), 1.0, 1.0)
+    assert component_diameter(gp, {0, 1, 2}) == 2
+    # the same doubled edge inside a cycle 0-1-2-3-0 with a pendant 3-4-5
+    g = SmallWorldGraph(6, np.array([0, 0]), np.array([1, 3]), "erdos:c=1")
+    ring = np.array([True, True, True, True, True, False])
+    gp = PercolationGraph(g, ring, np.array([True, True]), 1.0, 1.0)
+    comp = {0, 1, 2, 3, 4, 5}
+    assert component_diameter(gp, comp) == _apsp_diameter(gp, comp) == 4
+
+
+def test_diameter_with_both_ends_in_pendant_trees():
+    # triangle 0-1-2; path 0-3-4-5 hangs at 0, path 1-6-7 at 1: 5..7 is 6 hops
+    edges = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (1, 6), (6, 7)]
+    u, v = map(np.array, zip(*edges))
+    g = GenericGraph(8, u, v)
+    assert component_diameter(g, range(8)) == _apsp_diameter(g, range(8)) == 6
+    # square 0-1-2-3 with two 3-hop branches at node 0: the longest path
+    # never enters the core
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+    u, v = map(np.array, zip(*edges))
+    g = GenericGraph(10, u, v)
+    assert component_diameter(g, range(10)) == _apsp_diameter(g, range(10)) == 6
+
+
+def test_diameter_does_not_prune_on_pinned_bounds():
+    # A node whose weighted eccentricity bounds meet can still end a longer
+    # path than any swept so far; pruning it on E_lo == E_hi answers 7 here.
+    edges = [(0, 1), (0, 2), (1, 3), (1, 9), (2, 5), (2, 8), (3, 4), (3, 7), (4, 11),
+             (5, 6), (6, 11), (7, 11), (9, 10), (10, 12), (11, 13), (13, 14)]
+    u, v = map(np.array, zip(*edges))
+    g = GenericGraph(15, u, v)
+    assert component_diameter(g, range(15)) == _apsp_diameter(g, range(15)) == 8
 
 
 def test_diameter_rejects_disconnected_input():

@@ -16,6 +16,7 @@ from percolab.visits import (
     REACHED_LINEAR_SIZE,
     REACHED_QUEUE_THRESHOLD,
     VisitConfig,
+    VisitTrace,
     parallel_l_visit,
     plain_bfs,
     search_giant_erdos,
@@ -57,6 +58,13 @@ def test_sequential_hand_trace():
     assert t.final_r == {0, 4, 5, 6, 7, 8}
     assert t.final_q == set() and t.final_d == set()
     assert t.terminated_reason == QUEUE_EMPTY
+
+
+def test_check_disjoint_raises_on_overlap():
+    VisitTrace([], {1, 2}, {3}, {4}, QUEUE_EMPTY).check_disjoint()
+    for q, r, d in (({1, 2}, {2}, set()), ({1}, set(), {1}), (set(), {5}, {5})):
+        with pytest.raises(RuntimeError, match="overlap"):
+            VisitTrace([], q, r, d, QUEUE_EMPTY).check_disjoint()
 
 
 def test_sequential_respects_dead_bridge():
