@@ -131,17 +131,6 @@ class ModelSpec:
 def _largest_component_size(model: ModelSpec, n: int, p: float,
                             seed: rngmod.Seed) -> int:
     rng = seed.generator()
-    if model.name == "cycle":
-        # the largest component of a percolated ring is the longest run of
-        # retained edges plus one; no graph machinery needed
-        mask = rng.random(n) < p
-        if mask.all():
-            return n
-        # circular runs: double the mask and measure runs ending at zeros
-        mm = np.concatenate([mask, mask])
-        changes = np.flatnonzero(np.diff(np.concatenate([[False], mm, [False]]).astype(np.int8)))
-        runs = changes[1::2] - changes[0::2]
-        return int(runs.max(initial=0)) + 1
     g = model.sample(n, rng)
     pl, pb = model.probe_probs(p)
     gp = percolate(g, pl, pb, rng)

@@ -109,6 +109,22 @@ def _load_config(ctx: click.Context, config_path, params: dict) -> dict:
     return merged
 
 
+def _load_graph(path: str):
+    try:
+        return graphs.load_edge_list(path)
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
+
+
+def _percolate(g, p: dict, seed: Seed) -> graphs.PercolationGraph:
+    """Percolate with --p-local and --p-bridge (which defaults to --p-local)."""
+    pb = p["p_bridge"] if p["p_bridge"] is not None else p["p_local"]
+    try:
+        return graphs.percolate(g, p["p_local"], pb, seed.generator())
+    except ValueError as exc:
+        _fail(str(exc))
+
+
 def _model_spec(model: str, c: float, p1: float, d: int) -> analysis.ModelSpec:
     return analysis.ModelSpec(name=model, c=c, p1=p1, d=d)
 
@@ -170,12 +186,8 @@ def percolate(ctx, config, **params):
     p = _load_config(ctx, config, params)
     started = time.time()
     seed = _resolve_seed(p["seed"])
-    g = graphs.load_edge_list(p["graph_path"])
-    pb = p["p_bridge"] if p["p_bridge"] is not None else p["p_local"]
-    try:
-        gp = graphs.percolate(g, p["p_local"], pb, seed.generator())
-    except ValueError as exc:
-        _fail(str(exc))
+    g = _load_graph(p["graph_path"])
+    gp = _percolate(g, p, seed)
     rows = []
     eu, ev = gp.active_edge_arrays()
     kinds = {(u, v): k for u, v, k in g.edges()}
@@ -198,9 +210,8 @@ def components(ctx, config, **params):
     p = _load_config(ctx, config, params)
     started = time.time()
     seed = _resolve_seed(p["seed"])
-    g = graphs.load_edge_list(p["graph_path"])
-    pb = p["p_bridge"] if p["p_bridge"] is not None else p["p_local"]
-    gp = graphs.percolate(g, p["p_local"], pb, seed.generator())
+    g = _load_graph(p["graph_path"])
+    gp = _percolate(g, p, seed)
     comps = graphs.connected_components(gp)
     rows = [f"{i},{len(comp)},{min(comp)}" for i, comp in enumerate(comps)]
     _write_csv(p["out"], "component,size,min_node", rows, seed)
@@ -236,11 +247,10 @@ def visit(ctx, config, **params):
     p = _load_config(ctx, config, params)
     started = time.time()
     seed = _resolve_seed(p["seed"])
-    g = graphs.load_edge_list(p["graph_path"])
+    g = _load_graph(p["graph_path"])
     if not isinstance(g, graphs.SmallWorldGraph):
         _fail("visit algorithms require a ring-based graph")
-    pb = p["p_bridge"] if p["p_bridge"] is not None else p["p_local"]
-    gp = graphs.percolate(g, p["p_local"], pb, seed.generator())
+    gp = _percolate(g, p, seed)
     cfg = visits.VisitConfig(L=p["truncation"], k=p["density_k"],
                              beta=p["beta"], beta_prime=p["beta_prime"])
     s = p["source"]
@@ -306,7 +316,7 @@ def epidemic_cmd(ctx, config, **params):
     p = _load_config(ctx, config, params)
     started = time.time()
     seed = _resolve_seed(p["seed"])
-    g = graphs.load_edge_list(p["graph_path"])
+    g = _load_graph(p["graph_path"])
     try:
         cfg = epidemic.EpidemicConfig(
             p=p["p"], k_attempts=p["k_attempts"],
@@ -482,7 +492,7 @@ def equivalence(ctx, config, **params):
     p = _load_config(ctx, config, params)
     started = time.time()
     seed = _resolve_seed(p["seed"])
-    g = graphs.load_edge_list(p["graph_path"])
+    g = _load_graph(p["graph_path"])
     i0 = set(p["source"])
     cfg = epidemic.EpidemicConfig(p=p["p"])
     try:

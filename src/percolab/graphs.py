@@ -22,6 +22,13 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 # graph types
 # ---------------------------------------------------------------------------
 
+def _check_edge_arrays(n: int, u: np.ndarray, v: np.ndarray, what: str) -> None:
+    if np.any(u >= v):
+        raise ValueError(f"{what} arrays must satisfy u < v")
+    if len(u) and (u.min() < 0 or v.max() >= n):
+        raise ValueError(f"{what} endpoints must lie in [0, {n})")
+
+
 @dataclass
 class SmallWorldGraph:
     """Ring on n nodes plus a set of bridge edges.
@@ -40,8 +47,7 @@ class SmallWorldGraph:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need n >= 3")
-        if np.any(self.bridge_u >= self.bridge_v):
-            raise ValueError("bridge arrays must satisfy u < v")
+        _check_edge_arrays(self.n, self.bridge_u, self.bridge_v, "bridge")
 
     @property
     def num_bridges(self) -> int:
@@ -82,8 +88,7 @@ class GenericGraph:
     _adj: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if np.any(self.edge_u >= self.edge_v):
-            raise ValueError("edge arrays must satisfy u < v")
+        _check_edge_arrays(self.n, self.edge_u, self.edge_v, "edge")
 
     @property
     def max_degree(self) -> int:
@@ -234,15 +239,14 @@ def sample_swg_matching(n: int, rng: np.random.Generator) -> SmallWorldGraph:
     if n < 4 or n % 2 != 0:
         raise ValueError("need even n >= 4")
     perm = rng.permutation(n)
-    a = perm[0::2]
-    b = perm[1::2]
-    u = np.minimum(a, b).astype(np.int64)
-    v = np.maximum(a, b).astype(np.int64)
-    gap = v - u
-    on_ring = (gap == 1) | (gap == n - 1)
-    u, v = u[~on_ring], v[~on_ring]
-    order = np.lexsort((v, u))
-    return SmallWorldGraph(n, u[order], v[order], "matching")
+    partner = np.empty(n, dtype=np.int64)
+    partner[perm[0::2]] = perm[1::2]
+    partner[perm[1::2]] = perm[0::2]
+    # each pair once, from its smaller end; ascending u is already
+    # lexicographic order because no node has two partners
+    gap = partner - np.arange(n)
+    u = np.flatnonzero((gap > 1) & (gap != n - 1))
+    return SmallWorldGraph(n, u, partner[u], "matching")
 
 
 def sample_regular(n: int, d: int, rng: np.random.Generator,
@@ -324,31 +328,57 @@ def _num_nodes(gp) -> int:
     return gp.n
 
 
+def _ring_arcs(ring: np.ndarray) -> tuple:
+    """(arc, k): arc[i] is the id of the run of retained ring edges holding
+    node i, numbered 0..k-1 in order of each arc's smallest node.  Node i
+    starts a new arc unless ring edge i-1 survived; when edge n-1 survived
+    the last arc wraps round into arc 0."""
+    arc = np.zeros(len(ring), dtype=np.int64)
+    np.cumsum(~ring[:-1], out=arc[1:])
+    k = int(arc[-1]) + 1
+    if ring[-1] and k > 1:
+        k -= 1
+        arc[np.searchsorted(arc, k):] = 0
+    return arc, k
+
+
 def component_labels(gp) -> tuple:
     """(labels, sizes): labels[v] is the component id of v, sizes[k] the
-    size of component k.  Fast path used by the Monte Carlo experiments."""
-    n = _num_nodes(gp)
-    u, v = _as_edge_arrays(gp)
+    size of component k.  Fast path used by the Monte Carlo experiments.
+
+    Components are numbered in order of their smallest node, so label k's
+    smallest node increases with k.  On a percolated ring-based graph each
+    run of retained ring edges is first contracted to one arc node, and only
+    the k-arc graph of retained bridges is labelled; arcs are numbered in
+    order of their smallest node as well, so the labels are the same as on
+    the uncontracted graph.
+    """
+    if isinstance(gp, PercolationGraph) and isinstance(gp.base, SmallWorldGraph):
+        arc, k = _ring_arcs(gp.ring_active)
+        u = arc[gp.base.bridge_u[gp.bridge_active]]
+        v = arc[gp.base.bridge_v[gp.bridge_active]]
+    else:
+        arc, k = None, _num_nodes(gp)
+        u, v = _as_edge_arrays(gp)
     data = np.ones(len(u), dtype=np.int8)
-    mat = csr_matrix((data, (u, v)), shape=(n, n))
+    mat = csr_matrix((data, (u, v)), shape=(k, k))
+    # scipy numbers components in order of their smallest index
     ncomp, labels = _cc(mat, directed=False)
+    if arc is not None:
+        labels = labels[arc]
     sizes = np.bincount(labels, minlength=ncomp)
     return labels, sizes
 
 
 def connected_components(gp) -> list:
     """Partition of V into components, sorted by size descending and then by
-    smallest contained node id."""
+    smallest contained node id (label order is smallest-node order, see
+    `component_labels`, so a stable sort on size gives the tie-break)."""
     labels, sizes = component_labels(gp)
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.searchsorted(labels[order], np.arange(len(sizes)))
-    comps = []
-    for k in range(len(sizes)):
-        start = boundaries[k]
-        end = boundaries[k + 1] if k + 1 < len(sizes) else len(order)
-        comps.append(set(order[start:end].tolist()))
-    comps.sort(key=lambda s: (-len(s), min(s)))
-    return comps
+    members = np.argsort(labels, kind="stable").tolist()
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    return [set(members[bounds[k]:bounds[k + 1]])
+            for k in np.argsort(-sizes, kind="stable").tolist()]
 
 
 def largest_component_size(gp) -> int:
@@ -484,7 +514,11 @@ def save_edge_list(g, path) -> None:
 
 
 def load_edge_list(path):
-    """Inverse of save_edge_list; the round trip is lossless."""
+    """Inverse of save_edge_list; the round trip is lossless.
+
+    Raises ValueError on a malformed file: an edge kind other than R or B,
+    a node outside [0, n), an edge not given as u < v, or a `model=matching`
+    file in which a node has two bridges."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# swg "):
@@ -503,6 +537,9 @@ def load_edge_list(path):
             kinds.append(kind)
     u = np.array(us, dtype=np.int64)
     v = np.array(vs, dtype=np.int64)
+    bad = set(kinds) - {"R", "B"}
+    if bad:
+        raise ValueError(f"unknown edge kind(s): {sorted(bad)}")
     kinds = np.array(kinds)
     if tag == "generic":
         order = np.lexsort((v, u))
@@ -510,4 +547,7 @@ def load_edge_list(path):
     bmask = kinds == "B"
     bu, bv = u[bmask], v[bmask]
     order = np.lexsort((bv, bu))
-    return SmallWorldGraph(n, bu[order], bv[order], tag)
+    g = SmallWorldGraph(n, bu[order], bv[order], tag)
+    if tag == "matching" and np.bincount(np.concatenate([bu, bv])).max(initial=0) > 1:
+        raise ValueError("model=matching but a node has two bridges")
+    return g

@@ -118,31 +118,27 @@ def is_free_parallel(g, x: int, X, A, L: int) -> bool:
 # vectorized Monte Carlo helper
 # ---------------------------------------------------------------------------
 
-def _capped_run_lengths(mask: np.ndarray, L: int) -> np.ndarray:
-    """For each i, the number of consecutive True entries in the circular
-    mask starting at i, capped at L."""
-    n = len(mask)
-    if mask.all():
-        return np.full(n, min(L, n), dtype=np.int64)
-    mm = np.concatenate([mask, mask[: min(L, n)]])
-    zeros = np.flatnonzero(~mm)
-    idx = np.searchsorted(zeros, np.arange(n))
-    idx = np.minimum(idx, len(zeros) - 1)
-    nxt = zeros[idx]
-    nxt = np.where(nxt >= np.arange(n), nxt, n + min(L, n))
-    return np.minimum(nxt - np.arange(n), L)
-
-
 def mean_truncated_size_mc(n: int, p: float, L: int, trials: int,
                            rng: np.random.Generator) -> float:
     """Monte Carlo estimate of E[|LC^L(v)|] on an n-ring: percolate the ring
-    `trials` times and average the truncated cluster size over all nodes."""
+    `trials` times and average the truncated cluster size over all nodes.
+
+    A maximal circular run of r retained edges gives its nodes capped right
+    reaches r, r-1, ..., 1 (each capped at L), so it adds
+    S(r) = sum_{j<=r} min(j, L) to the right sum; the left reaches over the
+    same run are 1, ..., r, so the left sum is the same total.
+    """
     total = 0.0
     for _ in range(trials):
         mask = rng.random(n) < p
-        right = _capped_run_lengths(mask, L)
-        # left runs from v use edges v-1, v-2, ...: reverse-orientation runs
-        left = _capped_run_lengths(mask[::-1], L)[::-1]
-        left = np.roll(left, 1)  # edge v-1 is position n-1-v in reversed order
-        total += 1.0 + right.mean() + left.mean()
+        if mask.all():
+            m = min(L, n)
+        else:
+            zeros = np.flatnonzero(~mask)
+            r = np.diff(zeros, append=zeros[0] + n) - 1
+            capped = np.minimum(r, L)
+            m = int((capped * (capped + 1) // 2 + (r - capped) * L).sum()) / n
+        # m is both the right and the left mean; adding it twice (not 2 * m)
+        # rounds exactly as averaging the per-node reaches does
+        total += 1.0 + m + m
     return total / trials

@@ -75,6 +75,22 @@ def swg_fixture(tmp_path_factory):
     return str(path)
 
 
+def test_components_bad_probability_exits_2_with_json_error(runner, tmp_path, swg_fixture):
+    res = runner.invoke(main, ["components", "--graph", swg_fixture, "--p-local", "1.5",
+                               "--seed", "1", "--out", str(tmp_path / "cc.csv")])
+    assert res.exit_code == 2
+    assert "probabilities" in _json_error(res)
+
+
+def test_edge_file_node_out_of_range_exits_2_with_json_error(runner, tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("# swg n=5 model=erdos:c=1\n0 1 R\n1 2 R\n2 3 R\n3 4 R\n0 4 R\n2 9 B\n")
+    res = runner.invoke(main, ["components", "--graph", str(path), "--p-local", "0.5",
+                               "--seed", "1", "--out", str(tmp_path / "cc.csv")])
+    assert res.exit_code == 2
+    assert "[0, 5)" in _json_error(res)
+
+
 def test_determinism_byte_identical_outputs(runner, tmp_path, swg_fixture):
     args = ["visit", "--graph", swg_fixture, "--algorithm", "union",
             "--p-local", "0.5", "--seed", "42"]

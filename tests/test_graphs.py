@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 from scipy.sparse.csgraph import dijkstra
 
 from percolab import graphs
@@ -127,6 +128,31 @@ def test_matching_degrees():
     assert all(g.degree(v) in (2, 3) for v in range(g.n))
 
 
+def _sorted_pair_matching(n, perm):
+    """The matching sampler's former construction: drop ring-coincident
+    pairs, then sort the rest lexicographically."""
+    a, b = perm[0::2], perm[1::2]
+    u = np.minimum(a, b).astype(np.int64)
+    v = np.maximum(a, b).astype(np.int64)
+    gap = v - u
+    keep = (gap != 1) & (gap != n - 1)
+    order = np.lexsort((v[keep], u[keep]))
+    return u[keep][order], v[keep][order]
+
+
+def test_matching_sampler_matches_sorted_pair_construction():
+    for n in (4, 6, 10, 52, 1000, 20_000):
+        for seed in range(5):
+            g = sample_swg_matching(n, Seed(seed).generator())
+            u, v = _sorted_pair_matching(n, Seed(seed).generator().permutation(n))
+            assert np.array_equal(g.bridge_u, u) and np.array_equal(g.bridge_v, v)
+            assert g.bridge_u.dtype == g.bridge_v.dtype == np.int64
+            degree = np.bincount(np.concatenate([g.bridge_u, g.bridge_v]), minlength=n)
+            assert degree.max() <= 1
+            gap = g.bridge_v - g.bridge_u
+            assert not np.any((gap == 1) | (gap == n - 1))
+
+
 def test_matching_rejects_odd_n():
     with pytest.raises(ValueError):
         sample_swg_matching(7, Seed(0).generator())
@@ -218,6 +244,53 @@ def test_components_match_flood_fill_oracle():
         g = sample_swg_erdos(150, 1.5, rng)
         gp = percolate(g, 0.5, 0.5, rng)
         assert connected_components(gp) == _flood_fill_components(gp)
+
+
+def _uncontracted_labels(gp):
+    """Reference: scipy's labels over every retained edge, node by node."""
+    u, v = gp.active_edge_arrays()
+    mat = csr_matrix((np.ones(len(u)), (u, v)), shape=(gp.n, gp.n))
+    ncomp, labels = scipy_components(mat, directed=False)
+    return labels, np.bincount(labels, minlength=ncomp)
+
+
+def _ring_graph(n, ring_edges, bridges):
+    """Percolated swg with exactly the given ring edges (edge i joins i and
+    i+1 mod n) and bridges retained."""
+    u = np.array([a for a, _ in bridges], dtype=np.int64)
+    v = np.array([b for _, b in bridges], dtype=np.int64)
+    ring = np.zeros(n, dtype=bool)
+    ring[list(ring_edges)] = True
+    g = SmallWorldGraph(n, u, v, "erdos:c=1")
+    return PercolationGraph(g, ring, np.ones(len(u), dtype=bool), 1.0, 1.0)
+
+
+def test_component_labels_match_uncontracted_labels():
+    rng = Seed(13).generator()
+    cases = []
+    for n in (3, 4, 5, 7, 10, 11, 64, 301):
+        for p in (0.0, 0.3, 0.5, 0.9, 1.0):
+            for _ in range(3):
+                cases.append(percolate(sample_swg_erdos(n, 1.5, rng), p, p, rng))
+                cases.append(percolate(sample_swg_erdos(n, 0.0, rng), p, p, rng))
+                if n % 2 == 0:
+                    cases.append(percolate(sample_swg_matching(n, rng), p, p, rng))
+    cases += [
+        _ring_graph(6, range(6), []),              # whole ring: one arc
+        _ring_graph(6, range(6), [(1, 4)]),
+        _ring_graph(6, [5], []),                   # only edge n-1: {5, 0}
+        _ring_graph(6, [5], [(2, 4)]),
+        _ring_graph(8, [0, 1, 4, 5, 7], [(3, 7)]),  # {7, 0, 1, 2} wraps
+        _ring_graph(8, [0, 1, 5], [(1, 2), (3, 6)]),   # bridge on a ring edge
+    ]
+    for gp in cases:
+        labels, sizes = component_labels(gp)
+        expected_labels, expected_sizes = _uncontracted_labels(gp)
+        assert labels.tolist() == expected_labels.tolist()
+        assert sizes.tolist() == expected_sizes.tolist()
+        # label k's smallest node increases with k
+        _, first = np.unique(labels, return_index=True)
+        assert (np.diff(first) > 0).all()
 
 
 def test_component_labels_sizes_consistent():
@@ -373,6 +446,38 @@ def test_edge_list_round_trip_matching(tmp_path):
     g2 = load_edge_list(path)
     assert g2.model_tag == "matching"
     assert np.array_equal(g2.bridge_u, g.bridge_u)
+
+
+def test_graphs_reject_nodes_out_of_range():
+    with pytest.raises(ValueError, match="u < v"):
+        SmallWorldGraph(5, np.array([3]), np.array([1]), "erdos:c=1")
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        SmallWorldGraph(5, np.array([-1]), np.array([2]), "erdos:c=1")
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        SmallWorldGraph(5, np.array([2]), np.array([9]), "erdos:c=1")
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        GenericGraph(4, np.array([0, 1]), np.array([1, 4]))
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        GenericGraph(4, np.array([-2]), np.array([1]))
+
+
+def _write_edges(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    return path
+
+
+def test_edge_list_rejects_malformed_files(tmp_path):
+    ring5 = "".join(f"{min(i, (i + 1) % 5)} {max(i, (i + 1) % 5)} R\n" for i in range(5))
+    bad = {
+        "unknown edge kind": "# swg n=5 model=erdos:c=1\n" + ring5 + "0 2 X\n",
+        r"\[0, 5\)": "# swg n=5 model=erdos:c=1\n" + ring5 + "2 9 B\n",
+        "two bridges": "# swg n=6 model=matching\n0 2 B\n0 3 B\n",
+        r"\[0, 3\)": "# swg n=3 model=generic\n0 1 R\n1 3 R\n",
+    }
+    for message, text in bad.items():
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(_write_edges(tmp_path, text))
 
 
 def test_edge_list_round_trip_generic(tmp_path):

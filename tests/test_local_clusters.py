@@ -85,6 +85,52 @@ def test_one_sided_reach_law():
     assert tv < 0.01
 
 
+def _capped_run_lengths(mask, L):
+    """Per-node reference: for each i, the number of consecutive True entries
+    in the circular mask starting at i, capped at L."""
+    n = len(mask)
+    if mask.all():
+        return np.full(n, min(L, n), dtype=np.int64)
+    mm = np.concatenate([mask, mask[: min(L, n)]])
+    zeros = np.flatnonzero(~mm)
+    idx = np.searchsorted(zeros, np.arange(n))
+    idx = np.minimum(idx, len(zeros) - 1)
+    nxt = zeros[idx]
+    nxt = np.where(nxt >= np.arange(n), nxt, n + min(L, n))
+    return np.minimum(nxt - np.arange(n), L)
+
+
+def test_capped_run_lengths_reference():
+    rng = Seed(33).generator()
+    for n, p, L in [(9, 0.6, 3), (9, 0.6, 20), (1, 1.0, 4), (30, 0.9, 7)]:
+        mask = rng.random(n) < p
+        expected = []
+        for i in range(n):
+            reach = 0
+            while reach < min(L, n) and mask[(i + reach) % n]:
+                reach += 1
+            expected.append(reach)
+        assert _capped_run_lengths(mask, L).tolist() == expected
+
+
+def test_mean_truncated_size_mc_equals_per_node_sums():
+    # bit-identical to averaging per-node right and left reaches, including
+    # the all-retained ring and L >= n; at (999, 0.2, 4) adding 2 * m instead
+    # of m + m would round differently
+    trials = 40
+    for n, p, L in [(1000, 0.3, 5), (999, 0.2, 4), (1000, 0.9, 10), (50, 0.95, 200),
+                    (12, 1.0, 4), (12, 1.0, 30), (7, 0.5, 7), (3, 0.9, 1)]:
+        rng = Seed(n).generator()
+        total = 0.0
+        for _ in range(trials):
+            mask = rng.random(n) < p
+            right = _capped_run_lengths(mask, L)
+            # the left reach of v starts at edge v-1: run the reversed mask
+            left = np.roll(_capped_run_lengths(mask[::-1], L)[::-1], 1)
+            total += 1.0 + right.mean() + left.mean()
+        assert mean_truncated_size_mc(n, p, L, trials, Seed(n).generator()) == total / trials
+
+
 def test_mean_truncated_size_mc_matches_formula():
     rng = Seed(32).generator()
     for p, L in [(0.3, 5), (0.6, 10)]:
