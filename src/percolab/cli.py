@@ -188,11 +188,11 @@ def percolate(ctx, config, **params):
     seed = _resolve_seed(p["seed"])
     g = _load_graph(p["graph_path"])
     gp = _percolate(g, p, seed)
-    rows = []
     eu, ev = gp.active_edge_arrays()
-    kinds = {(u, v): k for u, v, k in g.edges()}
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        rows.append(f"{u},{v},{kinds[(u, v)]}")
+    # retained ring edges come first; every edge of a GenericGraph is kind R
+    n_ring = len(eu) if gp.ring_active is None else int(np.count_nonzero(gp.ring_active))
+    kinds = ["R"] * n_ring + ["B"] * (len(eu) - n_ring)
+    rows = [f"{u},{v},{k}" for u, v, k in zip(eu.tolist(), ev.tolist(), kinds)]
     _write_csv(p["out"], "u,v,kind", rows, seed)
     _write_manifest(p["out"], "percolate", p, seed, started)
 
@@ -339,6 +339,7 @@ def epidemic_cmd(ctx, config, **params):
     _write_manifest(p["out"], "epidemic", p_serial, seed, started, {
         "final_size": trace.final_size,
         "stop_time": trace.stop_time,
+        "truncated": trace.truncated,
     })
 
 

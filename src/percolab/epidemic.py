@@ -31,8 +31,8 @@ class EpidemicConfig:
     Either a uniform `p`, or a split (p_local for ring edges, p_bridge for
     bridges), or an explicit per-edge map {(u,v): prob} with u < v.
     Incubation is None (plain SIR), ("fixed", h), or ("geometric", q):
-    geometric counts failures before the first success, so mean q is 2 at
-    q=1/3... actually mean = (1-q)/q.
+    geometric counts failures before the first success, so its mean is
+    (1-q)/q (2 at q = 1/3).
     """
 
     p: Optional[float] = None
@@ -65,14 +65,16 @@ class EpidemicConfig:
             return self.p_bridge
         return self.p_local
 
-    def draw_incubation(self, rng: np.random.Generator) -> int:
+    def draw_incubations(self, rng: np.random.Generator, m: int) -> list:
+        """Incubation periods of m newly infected nodes, in order; one
+        vector draw gives the same stream as m scalar draws."""
         if self.incubation is None:
-            return 0
+            return [0] * m
         kind, param = self.incubation
         if kind == "fixed":
-            return int(param)
+            return [int(param)] * m
         # numpy geometric counts trials until success; shift to failures
-        return int(rng.geometric(param)) - 1
+        return (rng.geometric(param, size=m) - 1).tolist()
 
 
 @dataclass
@@ -80,12 +82,15 @@ class EpidemicTrace:
     """Per-step population counts plus the final reached set.
 
     counts[t] = (|S_t|, |E_t|, |I_t|, |R_t|); these always partition V.
-    stop_time is the first t > 0 with E_t and I_t both empty.
+    stop_time is the first t > 0 with E_t and I_t both empty, or the step
+    cap; truncated says the cap was hit while nodes were still exposed or
+    infectious (they are counted in final_recovered, not in the last row).
     """
 
     counts: list
     final_recovered: set
     stop_time: int
+    truncated: bool = False
 
     @property
     def final_size(self) -> int:
@@ -116,85 +121,91 @@ class EpidemicTrace:
 def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
               max_steps: Optional[int] = None) -> EpidemicTrace:
     n = g.n
-    I0 = set(I0)
+    I0 = sorted(set(I0))
     if not I0:
         raise ValueError("need a nonempty initially-infectious set")
-    if not all(0 <= v < n for v in I0):
+    if I0[0] < 0 or I0[-1] >= n:
         raise ValueError("initial nodes out of range")
-    adj = g.adjacency() if isinstance(g, GenericGraph) else None
-    if adj is None:
-        bridge_adj = g.bridge_adjacency()
-
-        def neighbors(u):
-            out = [((u - 1) % n, "R"), ((u + 1) % n, "R")]
-            out += [(x, "B") for x in bridge_adj[u]]
-            return out
-    else:
-        def neighbors(u):
-            return [(x, "R") for x in adj[u]]
-
+    ring = not isinstance(g, GenericGraph)
+    adj = g.bridge_adjacency() if ring else g.adjacency()
+    indptr, indices = adj.indptr, adj.indices
+    kind_bit = 0 if ring else 2   # adjacency edges are bridges (B) or plain (R)
     if max_steps is None:
         max_steps = 2 * n + 10
-
-    need_incubation = cfg.incubation is not None
+    p_map = cfg.p_map
+    # per-attempt probability by kind bit (0 = B, 1 = R), unless p_map is set
+    p_kind = None if p_map is not None else (cfg.edge_prob(0, 1, "B"),
+                                             cfg.edge_prob(0, 1, "R"))
     inc_rng = None  # spawned lazily so edge randomness matches the plain run
 
     k = cfg.k_attempts
-    susceptible = set(range(n)) - I0
-    exposed: dict = {}            # node -> remaining incubation steps
-    infectious_age: dict = {v: 0 for v in I0}  # node -> completed attempts
-    recovered: set = set()
-    counts = [(len(susceptible), 0, len(I0), 0)]
+    susceptible = bytearray(b"\x01") * n
+    for v in I0:
+        susceptible[v] = 0
+    exposed: dict = {}                    # node -> remaining incubation steps
+    infectious = dict.fromkeys(I0, 0)     # node -> completed attempts
+    reached = list(I0)
+    n_s, n_r = n - len(I0), 0
+    counts = [(n_s, 0, len(I0), 0)]
     t = 0
-    while (infectious_age or exposed) and t < max_steps:
+    while (infectious or exposed) and t < max_steps:
         t += 1
-        # transmissions, in canonical sorted-edge order
+        # transmissions in canonical order: an attempt u -> v along an edge
+        # of kind bit c is keyed ((min*n + max)*2 + c)*2 + [v is the max],
+        # so sorting the keys sorts by edge endpoints, B before R
         attempts = []
-        for u in sorted(infectious_age):
-            for v, kind in neighbors(u):
-                if v in susceptible:
-                    attempts.append((min(u, v), max(u, v), u, v, kind))
-        newly: set = set()
-        for a, b, u, v, kind in sorted(attempts):
-            if v in newly:
-                # already infected this round by a lower-sorted edge; a
-                # duplicate attempt still consumes its coin for replayability
-                rng.random()
-                continue
-            if rng.random() < cfg.edge_prob(u, v, kind):
-                newly.add(v)
+        for u in sorted(infectious):
+            if ring:
+                for v in ((u - 1) % n, (u + 1) % n):
+                    if susceptible[v]:
+                        attempts.append((u * n + v) * 4 + 3 if u < v else (v * n + u) * 4 + 2)
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if susceptible[v]:
+                    attempts.append((u * n + v) * 4 + 1 + kind_bit if u < v
+                                    else (v * n + u) * 4 + kind_bit)
+        newly = []
+        if attempts:
+            attempts.sort()
+            # one coin per attempt, drawn in attempt order; a node already
+            # infected this round by a lower-sorted edge still uses its coin
+            for key, coin in zip(attempts, rng.random(len(attempts)).tolist()):
+                pair = key >> 2
+                v = pair % n if key & 1 else pair // n
+                if not susceptible[v]:
+                    continue
+                p = p_kind[(key >> 1) & 1] if p_map is None else p_map[divmod(pair, n)]
+                if coin < p:
+                    susceptible[v] = 0
+                    newly.append(v)
         # state transitions: existing exposed nodes count down first, so a
         # node infected this round waits a full h steps in E
         for v in list(exposed):
             exposed[v] -= 1
             if exposed[v] == 0:
                 del exposed[v]
-                infectious_age[v] = -1  # becomes age 0 below
-        for v in sorted(newly):
-            susceptible.remove(v)
-            if need_incubation:
-                if inc_rng is None:
-                    inc_rng = rng.spawn(1)[0]
-                h = cfg.draw_incubation(inc_rng)
+                infectious[v] = -1  # becomes age 0 below
+        if newly:
+            newly.sort()
+            if cfg.incubation is not None and inc_rng is None:
+                inc_rng = rng.spawn(1)[0]
+            for v, h in zip(newly, cfg.draw_incubations(inc_rng, len(newly))):
+                if h > 0:
+                    exposed[v] = h
+                else:
+                    infectious[v] = -1
+            n_s -= len(newly)
+            reached += newly
+        for v in list(infectious):
+            age = infectious[v] + 1
+            if age >= k:
+                del infectious[v]
+                n_r += 1
             else:
-                h = 0
-            if h > 0:
-                exposed[v] = h
-            else:
-                infectious_age[v] = -1
-        for v in list(infectious_age):
-            infectious_age[v] += 1
-            if infectious_age[v] >= k:
-                del infectious_age[v]
-                recovered.add(v)
-        counts.append((len(susceptible), len(exposed), len(infectious_age),
-                       len(recovered)))
+                infectious[v] = age
+        counts.append((n_s, len(exposed), len(infectious), n_r))
         if sum(counts[-1]) != n:
             raise RuntimeError(f"step {t}: S+E+I+R = {sum(counts[-1])}, not n = {n}")
-    recovered |= set(infectious_age)
-    for v in exposed:
-        recovered.add(v)
-    return EpidemicTrace(counts, recovered, t)
+    return EpidemicTrace(counts, set(reached), t, bool(infectious or exposed))
 
 
 def run_rf(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,

@@ -29,20 +29,55 @@ def _check_edge_arrays(n: int, u: np.ndarray, v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} endpoints must lie in [0, {n})")
 
 
+class Adjacency:
+    """Read-only CSR adjacency, a sequence whose item w is the sorted tuple
+    of w's neighbours.
+
+    `indptr` and `indices` hold the CSR as plain Python sequences (w's
+    neighbours are indices[indptr[w]:indptr[w + 1]]), so per-node loops
+    index them without numpy scalar overhead.
+    """
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr: list, indices: tuple):
+        self.indptr = indptr
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, w: int) -> tuple:
+        # indptr[n + 1] raises IndexError, which ends iteration over the nodes
+        return self.indices[self.indptr[w]:self.indptr[w + 1]]
+
+
+def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
+    """Adjacency of the undirected edges (u[k], v[k]) on nodes 0..n-1, each
+    node's neighbours sorted (a multi-edge lists its neighbour twice)."""
+    ends = np.concatenate([u, v])
+    other = np.concatenate([v, u])
+    order = np.lexsort((other, ends))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return Adjacency(indptr.tolist(), tuple(other[order].tolist()))
+
+
 @dataclass
 class SmallWorldGraph:
     """Ring on n nodes plus a set of bridge edges.
 
     The ring is implicit: node i is adjacent to (i-1) mod n and (i+1) mod n.
     Bridges are stored as parallel arrays (bridge_u[k] < bridge_v[k]) in
-    lexicographic order; the per-node adjacency view is built lazily.
+    lexicographic order.  The graph is treated as immutable: the per-node
+    bridge adjacency (a CSR `Adjacency`) is built on first use and cached.
     """
 
     n: int
     bridge_u: np.ndarray
     bridge_v: np.ndarray
     model_tag: str  # "erdos:c=<c>" or "matching"
-    _adj: Optional[list] = field(default=None, repr=False)
+    _adj: Optional[Adjacency] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -53,16 +88,10 @@ class SmallWorldGraph:
     def num_bridges(self) -> int:
         return len(self.bridge_u)
 
-    def bridge_adjacency(self) -> list:
-        """Per-node sorted lists of bridge neighbors."""
+    def bridge_adjacency(self) -> Adjacency:
+        """Per-node sorted bridge neighbours."""
         if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v in zip(self.bridge_u.tolist(), self.bridge_v.tolist()):
-                adj[u].append(v)
-                adj[v].append(u)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
+            self._adj = _csr(self.n, self.bridge_u, self.bridge_v)
         return self._adj
 
     def edges(self) -> Iterator[tuple]:
@@ -85,7 +114,7 @@ class GenericGraph:
     n: int
     edge_u: np.ndarray
     edge_v: np.ndarray
-    _adj: Optional[list] = field(default=None, repr=False)
+    _adj: Optional[Adjacency] = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_edge_arrays(self.n, self.edge_u, self.edge_v, "edge")
@@ -97,15 +126,10 @@ class GenericGraph:
         counts = np.bincount(np.concatenate([self.edge_u, self.edge_v]), minlength=self.n)
         return int(counts.max())
 
-    def adjacency(self) -> list:
+    def adjacency(self) -> Adjacency:
+        """Per-node sorted neighbours, built on first use and cached."""
         if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-                adj[u].append(v)
-                adj[v].append(u)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
+            self._adj = _csr(self.n, self.edge_u, self.edge_v)
         return self._adj
 
     def edges(self) -> Iterator[tuple]:
@@ -120,7 +144,8 @@ class PercolationGraph:
     For a SmallWorldGraph base, ring_active[i] says whether ring edge
     {i, (i+1) mod n} survived and bridge_active masks the base bridge arrays.
     For a GenericGraph base, ring_active is None and bridge_active masks the
-    explicit edge arrays (p_local applies to every edge).
+    explicit edge arrays (p_local applies to every edge).  Like the base
+    graphs it is treated as immutable.
     """
 
     base: object
@@ -128,13 +153,14 @@ class PercolationGraph:
     bridge_active: np.ndarray
     p_local: float
     p_bridge: float
+    _adj: Optional[Adjacency] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def active_edge_arrays(self) -> tuple:
-        """(u, v) arrays of all retained edges."""
+        """(u, v) arrays of all retained edges, retained ring edges first."""
         if isinstance(self.base, SmallWorldGraph):
             idx = np.flatnonzero(self.ring_active)
             ru = idx
@@ -148,21 +174,16 @@ class PercolationGraph:
         v = self.base.edge_v[self.bridge_active]
         return u, v
 
-    def retained_bridge_adjacency(self) -> list:
-        """Per-node sorted lists of retained bridge neighbors."""
-        adj = [[] for _ in range(self.n)]
-        if isinstance(self.base, SmallWorldGraph):
-            us = self.base.bridge_u[self.bridge_active]
-            vs = self.base.bridge_v[self.bridge_active]
-        else:
-            us = self.base.edge_u[self.bridge_active]
-            vs = self.base.edge_v[self.bridge_active]
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+    def retained_bridge_adjacency(self) -> Adjacency:
+        """Per-node sorted retained bridge neighbours (every retained edge for
+        a GenericGraph base), built on first use and cached."""
+        if self._adj is None:
+            if isinstance(self.base, SmallWorldGraph):
+                us, vs = self.base.bridge_u, self.base.bridge_v
+            else:
+                us, vs = self.base.edge_u, self.base.edge_v
+            self._adj = _csr(self.n, us[self.bridge_active], vs[self.bridge_active])
+        return self._adj
 
     def ring_edge_active(self, i: int) -> bool:
         """Whether ring edge {i, (i+1) mod n} survived."""
@@ -504,50 +525,133 @@ def component_diameter(gp, component) -> int:
 # edge-list text format
 # ---------------------------------------------------------------------------
 
+def _edge_lines(u: np.ndarray, v: np.ndarray, kind: str) -> str:
+    pairs = np.column_stack([u, v]).ravel().tolist()
+    return (f"%d %d {kind}\n" * len(u)) % tuple(pairs)
+
+
 def save_edge_list(g, path) -> None:
-    """One line per edge `u v kind`, header `# swg n=<n> model=<tag>`."""
-    tag = g.model_tag if isinstance(g, SmallWorldGraph) else "generic"
+    """One line per edge `u v kind`, header `# swg n=<n> model=<tag>`: for
+    a SmallWorldGraph the n ring edges (kind R) in ring order, then the
+    bridges (kind B); for a GenericGraph every edge with kind R."""
+    if isinstance(g, SmallWorldGraph):
+        ring = np.arange(g.n)
+        ru, rv = np.minimum(ring, (ring + 1) % g.n), np.maximum(ring, (ring + 1) % g.n)
+        text = (f"# swg n={g.n} model={g.model_tag}\n" + _edge_lines(ru, rv, "R")
+                + _edge_lines(g.bridge_u, g.bridge_v, "B"))
+    else:
+        text = f"# swg n={g.n} model=generic\n" + _edge_lines(g.edge_u, g.edge_v, "R")
     with open(path, "w") as fh:
-        fh.write(f"# swg n={g.n} model={tag}\n")
-        for u, v, kind in g.edges():
-            fh.write(f"{u} {v} {kind}\n")
+        fh.write(text)
+
+
+_SPACE = b" \t\n\v\f"
+_KINDS_TO_SPACE = bytes.maketrans(b"RB", b"  ")
+
+
+def _parse_edge_lines(body: bytes) -> tuple:
+    """(u, v, is_bridge) arrays from the lines `u v kind` of `body`.
+
+    Blank lines and lines starting with `#` are skipped.  Every other line
+    must hold exactly three fields separated by ASCII whitespace: two
+    integers and a kind, R or B.  Fields are found with array operations on
+    the bytes; once the kinds are blanked out and only signed digit runs
+    remain, one `np.fromstring` call reads all the integers."""
+    if b"#" in body:
+        body = b"\n".join(line for line in body.split(b"\n")
+                           if not line.lstrip().startswith(b"#"))
+    text = body + b"\n"
+    a = np.frombuffer(text, dtype=np.uint8)
+    # +1 where a field starts, -1 on the byte after it ends (bytes <= b" "
+    # separate fields; control bytes other than whitespace are refused below)
+    edge = np.diff((a > ord(" ")).view(np.int8), prepend=np.int8(0))
+    starts = np.flatnonzero(edge == 1)
+    ends = np.flatnonzero(edge == -1)
+    three_fields = "every edge line must hold three fields: u v kind"
+    if len(starts) % 3:
+        raise ValueError(three_fields)
+    # fields 3k..3k+2 must lie before the first newline after field 3k,
+    # and field 3k+3 after it
+    first = starts[0::3]
+    newlines = np.flatnonzero(a == ord("\n"))
+    line_end = newlines[np.searchsorted(newlines, first)]
+    if np.any(starts[2::3] > line_end) or np.any(first[1:] < line_end[:-1]):
+        raise ValueError(three_fields)
+    ks, ke = starts[2::3], ends[2::3]
+    kind = a[ks]
+    bad = (ke - ks != 1) | ((kind != ord("R")) & (kind != ord("B")))
+    if bad.any():
+        names = {text[s:e].decode(errors="replace") for s, e in zip(ks[bad], ke[bad])}
+        raise ValueError(f"unknown edge kind(s): {sorted(names)}")
+    digits = text.translate(_KINDS_TO_SPACE)
+    d = np.frombuffer(digits, dtype=np.uint8)
+    signs = np.flatnonzero((d == ord("+")) | (d == ord("-")))
+    if (text.count(b"R") + text.count(b"B") != len(ks)
+            or digits.translate(None, b"0123456789+-" + _SPACE)
+            or np.any(edge[signs] != 1) or np.any(edge[signs + 1] != 0)
+            or np.any(ends - starts > 18)):
+        raise ValueError("edge endpoints must be integers")
+    if not len(ks):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=bool)
+    uv = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 2)
+    return uv[:, 0].copy(), uv[:, 1].copy(), kind == ord("B")
+
+
+# bounds the n of an edge file, so that u * n + v fits in an int64
+_MAX_NODES = 2 ** 31
+
+
+def _lex_order(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """np.lexsort((v, u)) when 0 <= u, v < n, as one stable sort of u*n + v
+    (linear time on the already sorted lines that save_edge_list writes);
+    out-of-range edges are refused after sorting, so their order is moot."""
+    return np.argsort(u * n + v, kind="stable")
 
 
 def load_edge_list(path):
     """Inverse of save_edge_list; the round trip is lossless.
 
-    Raises ValueError on a malformed file: an edge kind other than R or B,
-    a node outside [0, n), an edge not given as u < v, or a `model=matching`
-    file in which a node has two bridges."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# swg "):
-            raise ValueError(f"bad header: {header!r}")
-        fields = dict(part.split("=", 1) for part in header[6:].split())
-        n = int(fields["n"])
-        tag = fields["model"]
-        us, vs, kinds = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b, kind = line.split()
-            us.append(int(a))
-            vs.append(int(b))
-            kinds.append(kind)
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    bad = set(kinds) - {"R", "B"}
-    if bad:
-        raise ValueError(f"unknown edge kind(s): {sorted(bad)}")
-    kinds = np.array(kinds)
+    Raises ValueError on a malformed file: a header without `n=` or
+    `model=`, an n outside [0, 2**31], a line other than `u v kind` with
+    integers u, v, an edge kind other than R or B, a node outside [0, n),
+    an edge not given as u < v, a `model=matching` file in which a node has
+    two bridges, a ring-based file whose R lines are not exactly the n ring
+    edges, or a bridge given twice."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # read as text would: UTF-8 only, with \r\n and lone \r ending lines
+    if not data.isascii():
+        data.decode()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = data.partition(b"\n")
+    header = head.decode().strip()
+    if not header.startswith("# swg "):
+        raise ValueError(f"bad header: {header!r}")
+    fields = dict(part.split("=", 1) for part in header[6:].split())
+    missing = [key for key in ("n", "model") if key not in fields]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(k + '=' for k in missing)}")
+    n = int(fields["n"])
+    if not 0 <= n <= _MAX_NODES:
+        raise ValueError(f"n must lie in [0, {_MAX_NODES}]")
+    tag = fields["model"]
+    u, v, is_bridge = _parse_edge_lines(body)
     if tag == "generic":
-        order = np.lexsort((v, u))
+        order = _lex_order(u, v, n)
         return GenericGraph(n, u[order], v[order])
-    bmask = kinds == "B"
-    bu, bv = u[bmask], v[bmask]
-    order = np.lexsort((bv, bu))
+    bu, bv = u[is_bridge], v[is_bridge]
+    order = _lex_order(bu, bv, n)
     g = SmallWorldGraph(n, bu[order], bv[order], tag)
     if tag == "matching" and np.bincount(np.concatenate([bu, bv])).max(initial=0) > 1:
         raise ValueError("model=matching but a node has two bridges")
+    # ring edge {i, i+1 mod n} is the line `i i+1 R`, or `0 n-1 R` for i = n-1
+    ru, rv = u[~is_bridge], v[~is_bridge]
+    wrap = (ru == 0) & (rv == n - 1)
+    if (len(ru) != n or not np.all(wrap | ((ru >= 0) & (rv == ru + 1) & (rv < n)))
+            or np.any(np.bincount(np.where(wrap, n - 1, ru), minlength=n) != 1)):
+        raise ValueError(f"the R lines must be exactly the {n} ring edges")
+    if np.any((np.diff(g.bridge_u) == 0) & (np.diff(g.bridge_v) == 0)):
+        raise ValueError("a bridge is listed twice")
     return g

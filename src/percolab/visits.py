@@ -393,22 +393,6 @@ class _MatchingEngine(_SequentialEngine):
                 self.occ.add(x)
         self._record()
 
-    def run(self, max_rounds: int,
-            stop_queue_threshold: Optional[int] = None,
-            stop_linear_size: Optional[int] = None) -> str:
-        done = 0
-        while True:
-            if not self.in_q:
-                return QUEUE_EMPTY
-            if stop_queue_threshold is not None and len(self.in_q) >= stop_queue_threshold:
-                return REACHED_QUEUE_THRESHOLD
-            if stop_linear_size is not None and len(self.in_q) + len(self.r) >= stop_linear_size:
-                return REACHED_LINEAR_SIZE
-            if done >= max_rounds:
-                return ITERATION_CAP
-            self.step()
-            done += 1
-
 
 def sequential_l_visit_matching(g, gp, I0, D0, cfg: VisitConfig,
                                 cap: Optional[int] = None) -> VisitTrace:

@@ -91,6 +91,36 @@ def test_edge_file_node_out_of_range_exits_2_with_json_error(runner, tmp_path):
     assert "[0, 5)" in _json_error(res)
 
 
+@pytest.mark.parametrize("header", ["# swg model=erdos:c=1", "# swg n=5"])
+def test_edge_file_header_without_n_or_model_exits_2_with_json_error(runner, tmp_path, header):
+    path = tmp_path / "bad.edges"
+    path.write_text(header + "\n0 1 R\n1 2 R\n2 3 R\n3 4 R\n0 4 R\n")
+    res = runner.invoke(main, ["components", "--graph", str(path), "--p-local", "1",
+                               "--seed", "1", "--out", str(tmp_path / "cc.csv")])
+    assert res.exit_code == 2
+    assert "header lacks" in _json_error(res)
+
+
+def test_percolate_labels_a_ring_edge_and_its_parallel_bridge(runner, tmp_path):
+    path = tmp_path / "par.edges"
+    path.write_text("# swg n=5 model=erdos:c=1\n0 1 R\n1 2 R\n2 3 R\n3 4 R\n0 4 R\n"
+                    "1 2 B\n1 3 B\n")
+    out = tmp_path / "pc.csv"
+    res = runner.invoke(main, ["percolate", "--graph", str(path), "--p-local", "1",
+                               "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 0
+    rows = _read(out).decode().splitlines()[1:-1]
+    assert rows == ["0,1,R", "1,2,R", "2,3,R", "3,4,R", "0,4,R", "1,2,B", "1,3,B"]
+
+
+def test_epidemic_manifest_reports_truncation(runner, tmp_path):
+    out = tmp_path / "ep.csv"
+    res = runner.invoke(main, ["epidemic", "--graph", FIXTURE, "--p", "0.5",
+                               "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0
+    assert json.loads(_read(str(out) + ".manifest.json"))["truncated"] is False
+
+
 def test_determinism_byte_identical_outputs(runner, tmp_path, swg_fixture):
     args = ["visit", "--graph", swg_fixture, "--algorithm", "union",
             "--p-local", "0.5", "--seed", "42"]

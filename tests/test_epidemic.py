@@ -5,6 +5,7 @@ import pytest
 
 from percolab.epidemic import (
     EpidemicConfig,
+    _simulate,
     exact_final_size_law,
     fixture_graph,
     percolation_reachability_law,
@@ -14,8 +15,15 @@ from percolab.epidemic import (
     run_seir,
     total_variation,
 )
-from percolab.graphs import GenericGraph, sample_swg_erdos
+from percolab.graphs import (
+    GenericGraph,
+    sample_regular,
+    sample_swg_erdos,
+    sample_swg_matching,
+)
 from percolab.rng import Seed, derive
+
+from .oracles import simulate_sets
 
 
 def _path(k):
@@ -231,3 +239,47 @@ def test_recovered_set_within_percolation_component():
     t = run_rf(g, {5}, EpidemicConfig(p=0.7), rng)
     assert {5} <= t.final_recovered
     assert t.stop_time <= g.n
+
+
+# ---------------------------------------------------------------------------
+# the simulator against the set-based oracle
+# ---------------------------------------------------------------------------
+
+def test_traces_are_bit_identical_to_the_set_based_simulator():
+    rng = Seed(21).generator()
+    graphs = [sample_swg_erdos(80, 2.5, rng), sample_swg_matching(80, rng), sample_regular(80, 3, rng),
+              fixture_graph(), GenericGraph(4, np.array([0, 0, 1]), np.array([1, 1, 3]))]
+    for g in graphs:
+        p_map = {(u, v): float(x) for (u, v, _), x in zip(g.edges(), rng.random(200))}
+        configs = [
+            EpidemicConfig(p=0.45),                                   # rf
+            EpidemicConfig(p=0.3, k_attempts=3),                      # ic, k = 3
+            EpidemicConfig(p=0.5, incubation=("fixed", 2)),           # seir
+            EpidemicConfig(p=0.5, incubation=("geometric", 0.4)),
+            EpidemicConfig(p_local=0.5, p_bridge=0.9),
+            EpidemicConfig(p_map=p_map, k_attempts=2),
+        ]
+        for cfg in configs:
+            for seed in range(8):
+                i0 = {seed % g.n, (7 * seed + 3) % g.n}
+                a_rng, b_rng = Seed(seed).generator(), Seed(seed).generator()
+                a = _simulate(g, i0, cfg, a_rng)
+                b = simulate_sets(g, i0, cfg, b_rng)
+                assert a.counts == b.counts
+                assert a.final_recovered == b.final_recovered
+                assert a.stop_time == b.stop_time and not a.truncated and not b.truncated
+                assert a_rng.random() == b_rng.random()  # same coins consumed
+
+
+def test_step_cap_is_recorded_as_truncation():
+    path = _path(4)
+    t = run_rf(path, {0}, EpidemicConfig(p=1.0), Seed(9).generator(), max_steps=1)
+    assert t.truncated and t.stop_time == 1
+    assert t.counts == [(4, 0, 1, 0), (3, 0, 1, 1)]
+    assert t.final_recovered == {0, 1}  # the still-infectious node is counted as reached
+    # a node still in E at the cap is reached as well
+    cfg = EpidemicConfig(p=1.0, incubation=("fixed", 3))
+    t = run_seir(path, {0}, cfg, Seed(9).generator(), max_steps=1)
+    assert t.truncated and t.counts[-1] == (3, 1, 0, 1) and t.final_recovered == {0, 1}
+    full = run_rf(path, {0}, EpidemicConfig(p=1.0), Seed(9).generator())
+    assert not full.truncated and full.final_recovered == set(range(5))

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 from scipy.sparse.csgraph import dijkstra
@@ -26,6 +28,8 @@ from percolab.graphs import (
     save_edge_list,
 )
 from percolab.rng import Seed
+
+from .oracles import list_adjacency, load_edge_list_lines
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +492,180 @@ def test_edge_list_round_trip_generic(tmp_path):
     assert isinstance(g2, GenericGraph)
     assert np.array_equal(g2.edge_u, g.edge_u)
     assert np.array_equal(g2.edge_v, g.edge_v)
+
+
+# the ring-edge lines of a 5-node ring-based edge file
+_RING5 = "".join(f"{min(i, (i + 1) % 5)} {max(i, (i + 1) % 5)} R\n" for i in range(5))
+
+
+def test_edge_list_rejects_incomplete_headers(tmp_path):
+    bad = {
+        "lacks n=": "# swg model=erdos:c=1\n" + _RING5,
+        "lacks model=": "# swg n=5\n" + _RING5,
+        "lacks n=, model=": "# swg c=1\n",
+    }
+    for message, text in bad.items():
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(_write_edges(tmp_path, text))
+
+
+def test_edge_list_checks_ring_lines_and_duplicate_bridges(tmp_path):
+    ring5 = _RING5.splitlines(keepends=True)
+    head = "# swg n=5 model=erdos:c=1\n"
+    ring_bad = {
+        "only one ring edge": "0 3 R\n",
+        "a missing ring edge": "".join(ring5[1:]),
+        "a repeated ring edge": "".join(ring5) + ring5[2],
+        "a chord as R": "".join(ring5[:-1]) + "0 2 R\n",
+        "no R lines": "0 2 B\n",
+    }
+    for text in ring_bad.values():
+        with pytest.raises(ValueError, match="exactly the 5 ring edges"):
+            load_edge_list(_write_edges(tmp_path, head + text))
+    with pytest.raises(ValueError, match="listed twice"):
+        load_edge_list(_write_edges(tmp_path, head + "".join(ring5) + "0 2 B\n1 3 B\n0 2 B\n"))
+    # any line order, blank and comment lines, CRLF endings and a bridge
+    # parallel to a ring edge all load
+    text = head + "# comment\n\n1 3 B\r\n" + "".join(reversed(ring5)) + "  0\t1 B \n"
+    g = load_edge_list(_write_edges(tmp_path, text))
+    assert g.bridge_u.tolist() == [0, 1] and g.bridge_v.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("lines", [
+    b"0 2\nB\n", b"0\n2 B\n", b"0 2 B 1 3 B\n",                 # not one edge per line
+    b"0 - B\n", b"- 2 B\n- 3 B\n", b"0 +-2 B\n", b"0 2- B\n", b"0 1+1 B\n",  # stray signs
+    b"0R 2 B\n", b"0 2R B\n", b"0 1.5 B\n", b"0 0x2 B\n", b"0 2\x01 B\n",
+    b"# \xff\n",                                                   # not UTF-8
+])
+def test_edge_list_refuses_lines_the_line_parser_refuses(tmp_path, lines):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"# swg n=5 model=erdos:c=1\n" + _RING5.encode() + lines)
+    with pytest.raises(ValueError):
+        load_edge_list_lines(path)
+    with pytest.raises(ValueError):
+        load_edge_list(path)
+
+
+def _same_graph(a, b):
+    assert type(a) is type(b) and a.n == b.n
+    if isinstance(a, SmallWorldGraph):
+        assert a.model_tag == b.model_tag
+        pairs = [(a.bridge_u, b.bridge_u), (a.bridge_v, b.bridge_v)]
+    else:
+        pairs = [(a.edge_u, b.edge_u), (a.edge_v, b.edge_v)]
+    for x, y in pairs:
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
+@st.composite
+def _graphs(draw):
+    kind = draw(st.sampled_from(["erdos", "matching", "generic"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "erdos":
+        c = draw(st.just(0.0) | st.floats(0.01, 3.0))
+        return sample_swg_erdos(draw(st.integers(3, 40)), c, rng)
+    if kind == "matching":
+        return sample_swg_matching(2 * draw(st.integers(2, 20)), rng)
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=60))
+    u = np.array([min(p) for p in pairs], dtype=np.int64)
+    v = np.array([max(p) for p in pairs], dtype=np.int64)
+    order = np.lexsort((v, u))
+    return GenericGraph(n, u[order], v[order])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=_graphs())
+def test_loader_matches_line_parser_on_saved_files(tmp_path, g):
+    path = tmp_path / "g.edges"
+    save_edge_list(g, path)
+    got = load_edge_list(path)
+    _same_graph(got, load_edge_list_lines(path))
+    _same_graph(got, g)
+
+
+_NUMBERS = ["0", "1", "2", "3", "4", "5", "-1", "+2", "007"]
+_FIELDS = _NUMBERS + ["12", "1.5", "0x1", "-", "1_0", "99999999999999999999",
+                      "R", "B", "X", "r", "RB", "#", "é", "\x01"]
+_SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0c", "\x1c", "\xa0"]
+_HEADERS = ["# swg n=5 model=erdos:c=1", "# swg n=6 model=matching", "# swg n=5 model=generic",
+            "# swg n=3 model=generic", "# swg model=generic", "# swg n=5", "# swg n=x model=generic",
+            "# swg n=5 model", "swg n=5 model=generic", "", "# swg  n=4   model=generic  "]
+
+
+@st.composite
+def _edge_files(draw):
+    """Mostly well-formed edge files with a few faults mixed in."""
+    header = draw(st.sampled_from(_HEADERS))
+    lines = []
+    if draw(st.booleans()) and "model=generic" not in header and "n=" in header:
+        n = int(header.split("n=")[1].split()[0])
+        lines += [f"{min(i, (i + 1) % n)} {max(i, (i + 1) % n)} R" for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["edge", "edge", "edge", "fields", "blank", "comment"]))
+        if shape == "edge":
+            fields = [draw(st.sampled_from(_NUMBERS)), draw(st.sampled_from(_NUMBERS)),
+                      draw(st.sampled_from(["B", "R", "B", "X"]))]
+        elif shape == "fields":
+            fields = draw(st.lists(st.sampled_from(_FIELDS), max_size=5))
+        else:
+            fields = [] if shape == "blank" else ["# note é"]
+        sep = draw(st.sampled_from(_SEPARATORS))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(lead + sep.join(fields))
+    lines = draw(st.permutations(lines))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from([b""] * 9 + [b"\xff"]))
+    return (newline.join([header] + list(lines)) + newline).encode() + tail
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_edge_files())
+def test_loader_refuses_every_file_the_line_parser_refuses(tmp_path, data):
+    path = tmp_path / "f.edges"
+    path.write_bytes(data)
+    try:
+        want = load_edge_list_lines(path)
+    except Exception:
+        with pytest.raises(ValueError):
+            load_edge_list(path)
+        return
+    try:
+        got = load_edge_list(path)
+    except ValueError:
+        return  # R lines, duplicates and the like: checks the line parser lacks
+    _same_graph(got, want)
+
+
+def test_adjacency_views_equal_sorted_neighbour_lists():
+    rng = Seed(17).generator()
+    erdos = sample_swg_erdos(300, 2.0, rng)
+    matching = sample_swg_matching(300, rng)
+    regular = sample_regular(300, 3, rng)
+    # a multi-edge lists its neighbour twice
+    multi = GenericGraph(4, np.array([0, 0, 1, 2]), np.array([3, 3, 2, 3]))
+    for g in (erdos, matching):
+        want = list_adjacency(g.n, g.bridge_u, g.bridge_v)
+        adj = g.bridge_adjacency()
+        assert [list(a) for a in adj] == want and len(adj) == g.n
+        assert all(adj[w] == tuple(want[w]) for w in range(g.n))
+        assert g.bridge_adjacency() is adj  # cached
+        assert all(g.degree(w) == 2 + len(want[w]) for w in range(g.n))
+        gp = percolate(g, 0.5, 0.6, rng)
+        keep = gp.bridge_active
+        want = list_adjacency(g.n, g.bridge_u[keep], g.bridge_v[keep])
+        assert [list(a) for a in gp.retained_bridge_adjacency()] == want
+        assert gp.retained_bridge_adjacency() is gp.retained_bridge_adjacency()
+    for g in (regular, multi):
+        want = list_adjacency(g.n, g.edge_u, g.edge_v)
+        assert [list(a) for a in g.adjacency()] == want
+        gp = percolate(g, 0.5, 0.5, rng)
+        keep = gp.bridge_active
+        want = list_adjacency(g.n, g.edge_u[keep], g.edge_v[keep])
+        assert [list(a) for a in gp.retained_bridge_adjacency()] == want
+    assert multi.adjacency()[3] == (0, 0, 2)
+    assert isinstance(erdos.bridge_adjacency()[0], tuple)  # read-only
