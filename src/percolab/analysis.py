@@ -203,6 +203,8 @@ def probe_point(model: ModelSpec, n: int, p: float, trials: int,
                 theta: float = GIANT_FRACTION_THETA,
                 beta: float = MAX_COMP_LOG_BETA) -> ProbeResult:
     """Classify one probe probability from `trials` independent samples."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     args = [(model, n, p, rngmod.derive(seed, i)) for i in range(trials)]
     sizes = _pool_map(_largest_component_size, args, jobs)
     med = float(np.median(sizes))
@@ -225,6 +227,8 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
         raise ValueError("need n >= 1000 for a meaningful classification")
     if bracket_tolerance < 0.005:
         raise ValueError("bracket tolerance below resolution floor (0.005)")
+    if trials_per_point < 1:
+        raise ValueError("need trials >= 1")
     model.validate_n(n)
     lo, hi = 0.0, 1.0
     probes: list = []
@@ -287,6 +291,8 @@ def scaling_study(model: ModelSpec, p: float, n_list, trials: int,
     size_cap nodes."""
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rows = []
     for block, n in enumerate(n_list):
         model.validate_n(n)
@@ -323,6 +329,8 @@ def survival_from_single_source(model: ModelSpec, p: float, n: int,
                                 jobs: int = 1, k: int = 20) -> float:
     """Fraction of trials in which a uniform random source lands in a
     component of at least n/k nodes."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     model.validate_n(n)
     args = [(model, n, p, rngmod.derive(seed, i), k) for i in range(trials)]
     hits = _pool_map(_survival_trial, args, jobs)

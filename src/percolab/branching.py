@@ -182,11 +182,6 @@ class Empirical(OffspringLaw):
         return rng.choice(vals, size=size, p=probs)
 
 
-def mean_offspring(law: OffspringLaw) -> float:
-    """Exact expectation of one offspring draw."""
-    return law.mean()
-
-
 # ---------------------------------------------------------------------------
 # process simulation
 # ---------------------------------------------------------------------------

@@ -379,8 +379,11 @@ def gw(ctx, config, **params):
     started = time.time()
     seed = _resolve_seed(p["seed"])
     law = _parse_law(p["law"])
-    est = branching.survival_probability(law, p["b0"], p["horizon"],
-                                         p["trials"], seed.generator())
+    try:
+        est = branching.survival_probability(law, p["b0"], p["horizon"],
+                                             p["trials"], seed.generator())
+    except ValueError as exc:
+        _fail(str(exc))
     q_ext = branching.extinction_probability(law)
     survival_oracle = 1.0 - q_ext ** p["b0"]
     row = (f"{est.trials},{est.fraction:.6f},{est.low:.6f},{est.high:.6f},"

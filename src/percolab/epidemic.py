@@ -10,14 +10,13 @@ multi-attempt process produces bit-identical traces to the single-shot run.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graphs import GenericGraph, PercolationGraph, SmallWorldGraph, percolate
+from .graphs import GenericGraph, PercolationGraph, bfs_order, percolate
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +292,23 @@ def run_rf_coupled(g, I0, p_values, rng: np.random.Generator) -> list:
 # ---------------------------------------------------------------------------
 
 def _bfs_layers(gp: PercolationGraph, I0) -> list:
-    """Sizes (N0, N1, ...) of the hop-distance levels from I0 in the
-    retained subgraph."""
-    n = gp.n
+    """Sizes (N0, N1, ...) of the hop-distance levels from the distinct
+    nodes I0 in the retained subgraph."""
     eu, ev = gp.active_edge_arrays()
-    adj = [[] for _ in range(n)]
+    adj = [[] for _ in range(gp.n)]
     for u, v in zip(eu.tolist(), ev.tolist()):
         adj[u].append(v)
         adj[v].append(u)
-    layers = []
-    frontier = set(I0)
-    seen = set(I0)
-    while frontier:
-        layers.append(len(frontier))
-        nxt = set()
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        frontier = nxt
+    _, found = bfs_order(I0, adj.__getitem__)
+    # a layer starts once the last node of the one before has left the
+    # queue, and holds the nodes that layer reached first
+    layers, left, size = [], 0, len(I0)
+    for f in found:
+        if not left:
+            layers.append(size)
+            left, size = size, 0
+        size += f
+        left -= 1
     return layers
 
 
@@ -366,15 +362,8 @@ def exact_final_size_law(g, I0, cfg: EpidemicConfig) -> dict:
                 weight *= 1.0 - pe
         if weight == 0.0:
             continue
-        seen = set(I0)
-        stack = list(I0)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        law[len(seen)] = law.get(len(seen), 0.0) + weight
+        reached = len(bfs_order(I0, adj.__getitem__)[0])
+        law[reached] = law.get(reached, 0.0) + weight
     return law
 
 

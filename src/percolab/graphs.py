@@ -239,7 +239,9 @@ def sample_swg_erdos(n: int, c: float, rng: np.random.Generator) -> SmallWorldGr
     pos = -1
     batch = max(64, int(npairs * q * 1.2))
     while pos < npairs:
-        gaps = rng.geometric(q, size=batch)
+        # geometric saturates at 2**63 - 1 for a tiny q, which would wrap
+        # the cumsum; from pos >= -1 a gap of npairs + 1 already ends it
+        gaps = np.minimum(rng.geometric(q, size=batch), npairs + 1)
         pts = pos + np.cumsum(gaps)
         take = pts[pts < npairs]
         hits.append(take)
@@ -405,6 +407,30 @@ def connected_components(gp) -> list:
 def largest_component_size(gp) -> int:
     _, sizes = component_labels(gp)
     return int(sizes.max()) if len(sizes) else 0
+
+
+def bfs_order(sources, neighbours) -> tuple:
+    """FIFO breadth-first search from the distinct nodes `sources`; the
+    package's one breadth-first search loop.
+
+    `neighbours(w)` gives the nodes adjacent to w in the order they are to
+    be queued.  Returns (order, found): order lists every reached node in
+    the order it left the queue, the sources first, and found[i] counts the
+    nodes first reached from order[i].  The nodes at hop distance k + 1 are
+    exactly those first reached from the nodes at distance k, so the level
+    sizes can be read off found.
+    """
+    order = list(sources)
+    seen = set(order)
+    found = []
+    for w in order:  # the list is the queue: it grows while it is walked
+        before = len(order)
+        for y in neighbours(w):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+        found.append(len(order) - before)
+    return order, found
 
 
 def _subgraph_csr(gp, nodes: np.ndarray) -> csr_matrix:

@@ -57,13 +57,6 @@ def derive(seed: Seed, index: int) -> Seed:
     return Seed(seed.master, _splitmix64(seed.stream ^ mixed))
 
 
-def bernoulli(rng: np.random.Generator, p: float) -> bool:
-    """Single Bernoulli(p) draw; p=0 is always False, p=1 always True."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return bool(rng.random() < p)
-
-
 def entropy_seed() -> Seed:
     """Seed drawn from OS entropy (used when no --seed flag is given)."""
     return Seed(int(np.random.SeedSequence().entropy) & _MASK64)

@@ -3,19 +3,25 @@
 All visits maintain three disjoint node sets: the queue Q, the visited set R,
 and the deleted set D.  The L-truncated visits only expand through retained
 bridges whose endpoint is "free" (far enough along the ring from everything
-already touched), which keeps the enqueued local clusters disjoint.  Each
-visit records a per-round trace of (|Q|, |R|, |D|) for statistical checks.
+already touched), which keeps the enqueued local clusters disjoint.
+
+Each L-visit is an engine whose `step` runs one round; one stop loop,
+`_Engine.run`, drives every engine and records a per-round trace of
+(|Q|, |R|, |D|) for statistical checks.  Plain BFS runs on the one FIFO
+kernel, `graphs.bfs_order`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
-from .graphs import PercolationGraph, SmallWorldGraph
-from .local_clusters import RingOccupancy, truncated_local_cluster
+from .graphs import PercolationGraph, SmallWorldGraph, bfs_order
+from .local_clusters import RingOccupancy, local_cluster, truncated_local_cluster
 
 # termination reasons
 QUEUE_EMPTY = "QueueEmpty"
@@ -73,64 +79,44 @@ class VisitTrace:
         return len(self.final_q) + len(self.final_r)
 
 
-def _default_seq_cap(n: int) -> int:
-    return 20 * n
+def _initial_sets(I0, D0=()) -> tuple:
+    """(I0, D0) as sets, checked: I0 nonempty and disjoint from D0."""
+    I0, D0 = set(I0), set(D0)
+    if not I0:
+        raise ValueError("need a nonempty initiator set")
+    if I0 & D0:
+        raise ValueError("I0 and D0 must be disjoint")
+    return I0, D0
 
 
-def _default_par_cap(n: int) -> int:
-    return 20 * math.ceil(math.log2(max(n, 2)))
-
-
-# ---------------------------------------------------------------------------
-# sequential L-visit (Erdos-bridge model)
-# ---------------------------------------------------------------------------
-
-class _SequentialEngine:
-    """Stepwise sequential L-visit; shared by the plain visit, the union
-    visit, and the giant-component search (which re-seeds the queue between
-    bootstrap attempts while keeping D)."""
+class _Engine:
+    """State shared by the L-visits: the queue set `in_q`, the visited set
+    R, the deleted set D, the ring occupancy of every touched node and the
+    trace rows.  A subclass's `step` runs one round and ends with
+    `_record`; its `cap(n)` is the default round cap of `run`."""
 
     def __init__(self, g: SmallWorldGraph, gp: PercolationGraph, I0, D0, cfg: VisitConfig):
         self.g = g
         self.gp = gp
         self.cfg = cfg
         self.adj = gp.retained_bridge_adjacency()
-        self.q = deque(sorted(I0))
         self.in_q = set(I0)
         self.r: set = set()
-        self.d: set = set(D0)
+        self.d = set(D0)
         self.occ = RingOccupancy(g.n, list(I0) + list(D0))
         self.rounds: list = []
-
-    def reseed(self, s: int) -> None:
-        """Start a fresh bootstrap attempt from s, keeping D."""
-        self.q = deque([s])
-        self.in_q = {s}
-        self.r = set()
-        self.occ = RingOccupancy(self.g.n, [s] + list(self.d))
 
     def _record(self) -> None:
         self.rounds.append((len(self.in_q), len(self.r), len(self.d)))
 
-    def step(self) -> None:
-        """One iteration of the while loop: dequeue w, move it to R, and
-        enqueue the truncated cluster of every free retained-bridge
-        neighbor of w."""
-        w = self.q.popleft()
-        self.in_q.remove(w)
-        self.r.add(w)
-        L = self.cfg.L
-        for x in self.adj[w]:
-            if self.occ.min_distance(x) >= L + 1:
-                for y in sorted(truncated_local_cluster(self.gp, x, L)):
-                    self.q.append(y)
-                    self.in_q.add(y)
-                    self.occ.add(y)
-        self._record()
-
-    def run(self, max_rounds: int,
+    def run(self, max_rounds: Optional[int] = None,
             stop_queue_threshold: Optional[int] = None,
             stop_linear_size: Optional[int] = None) -> str:
+        """Step until Q is empty, |Q| reaches stop_queue_threshold,
+        |Q| + |R| reaches stop_linear_size, or max_rounds rounds (by default
+        the engine's cap) have run; returns which came first."""
+        if max_rounds is None:
+            max_rounds = self.cap(self.g.n)
         done = 0
         while True:
             if not self.in_q:
@@ -151,17 +137,52 @@ class _SequentialEngine:
         return t
 
 
+# ---------------------------------------------------------------------------
+# sequential L-visit (Erdos-bridge model)
+# ---------------------------------------------------------------------------
+
+class _SequentialEngine(_Engine):
+    """Stepwise sequential L-visit; shared by the plain visit, the union
+    visit, and the giant-component search (which re-seeds the queue between
+    bootstrap attempts while keeping D)."""
+
+    def __init__(self, g, gp, I0, D0, cfg: VisitConfig):
+        super().__init__(g, gp, I0, D0, cfg)
+        self.q = deque(sorted(I0))
+
+    @staticmethod
+    def cap(n: int) -> int:
+        return 20 * n
+
+    def reseed(self, s: int) -> None:
+        """Start a fresh bootstrap attempt from s, keeping D."""
+        self.q = deque([s])
+        self.in_q = {s}
+        self.r = set()
+        self.occ = RingOccupancy(self.g.n, [s] + list(self.d))
+
+    def step(self) -> None:
+        """One iteration of the while loop: dequeue w, move it to R, and
+        enqueue the truncated cluster of every free retained-bridge
+        neighbor of w."""
+        w = self.q.popleft()
+        self.in_q.remove(w)
+        self.r.add(w)
+        L = self.cfg.L
+        for x in self.adj[w]:
+            if self.occ.min_distance(x) >= L + 1:
+                for y in sorted(truncated_local_cluster(self.gp, x, L)):
+                    self.q.append(y)
+                    self.in_q.add(y)
+                    self.occ.add(y)
+        self._record()
+
+
 def sequential_l_visit(g, gp, I0, D0, cfg: VisitConfig,
                        cap: Optional[int] = None) -> VisitTrace:
     """FIFO sequential L-visit from initiators I0 with pre-deleted D0."""
-    I0, D0 = set(I0), set(D0)
-    if not I0:
-        raise ValueError("need a nonempty initiator set")
-    if I0 & D0:
-        raise ValueError("I0 and D0 must be disjoint")
-    eng = _SequentialEngine(g, gp, I0, D0, cfg)
-    reason = eng.run(cap if cap is not None else _default_seq_cap(g.n))
-    return eng.trace(reason)
+    eng = _SequentialEngine(g, gp, *_initial_sets(I0, D0), cfg)
+    return eng.trace(eng.run(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -187,150 +208,105 @@ def _free_subset(n: int, xs: list, occ: RingOccupancy, L: int) -> list:
     return out
 
 
-class _ParallelEngine:
-    def __init__(self, g, gp, I0, D0, cfg: VisitConfig):
-        self.g = g
-        self.gp = gp
-        self.cfg = cfg
-        self.adj = gp.retained_bridge_adjacency()
-        self.q = set(I0)
-        self.r: set = set()
-        self.d = set(D0)
-        self.occ = RingOccupancy(g.n, list(I0) + list(D0))
-        self.rounds: list = []
+class _ParallelEngine(_Engine):
+    @staticmethod
+    def cap(n: int) -> int:
+        return 20 * math.ceil(math.log2(max(n, 2)))
 
     def step(self) -> None:
         """One outer round: collect the retained-bridge neighbors X of Q,
         expand the truncated cluster of every parallel-free member of X into
         the next queue, and retire Q into R."""
         L = self.cfg.L
-        n = self.g.n
-        X = sorted({x for w in self.q for x in self.adj[w]})
+        X = sorted({x for w in self.in_q for x in self.adj[w]})
         new_q: set = set()
-        for x in _free_subset(n, X, self.occ, L):
+        for x in _free_subset(self.g.n, X, self.occ, L):
             new_q |= truncated_local_cluster(self.gp, x, L)
-        self.r |= self.q
-        self.q = new_q
+        self.r |= self.in_q
+        self.in_q = new_q
         for y in new_q:
             self.occ.add(y)
-        self.rounds.append((len(self.q), len(self.r), len(self.d)))
+        self._record()
 
-    def run(self, max_rounds: int, stop_linear_size: Optional[int] = None) -> str:
-        done = 0
-        while True:
-            if not self.q:
-                return QUEUE_EMPTY
-            if stop_linear_size is not None and len(self.q) + len(self.r) >= stop_linear_size:
-                return REACHED_LINEAR_SIZE
-            if done >= max_rounds:
-                return ITERATION_CAP
-            self.step()
-            done += 1
 
-    def trace(self, reason: str, **extra) -> VisitTrace:
-        t = VisitTrace(self.rounds, set(self.q), set(self.r), set(self.d),
-                       reason, **extra)
-        t.check_disjoint()
-        return t
+def _hand_off(eng: _SequentialEngine) -> _ParallelEngine:
+    """Parallel engine that carries on from a sequential one: its Q is the
+    initiator set, its R and D are the deleted set, and its trace rows run
+    on in the same list."""
+    par = _ParallelEngine(eng.g, eng.gp, eng.in_q, eng.r | eng.d, eng.cfg)
+    par.rounds = eng.rounds
+    return par
 
 
 def parallel_l_visit(g, gp, I0, D0, cfg: VisitConfig,
-                     cap: Optional[int] = None,
-                     stop_linear_size: Optional[int] = None) -> VisitTrace:
+                     cap: Optional[int] = None) -> VisitTrace:
     """Round-synchronous L-visit; each outer round advances one hop level."""
-    import warnings
-
-    I0, D0 = set(I0), set(D0)
-    if not I0:
-        raise ValueError("need a nonempty initiator set")
-    if I0 & D0:
-        raise ValueError("I0 and D0 must be disjoint")
+    I0, D0 = _initial_sets(I0, D0)
     if len(D0) > math.log(max(g.n, 2)) ** 4:
         warnings.warn("deleted set larger than log^4 n; growth guarantees may not apply")
     eng = _ParallelEngine(g, gp, I0, D0, cfg)
-    reason = eng.run(cap if cap is not None else _default_par_cap(g.n),
-                     stop_linear_size=stop_linear_size)
-    return eng.trace(reason)
+    return eng.trace(eng.run(cap))
 
 
 # ---------------------------------------------------------------------------
 # union visit and giant-component search
 # ---------------------------------------------------------------------------
 
-def union_l_visit(g, gp, I0, cfg: VisitConfig,
-                  cap_sequential: Optional[int] = None,
-                  cap_parallel: Optional[int] = None) -> VisitTrace:
+def union_l_visit(g, gp, I0, cfg: VisitConfig) -> VisitTrace:
     """Sequential phase until Q empties or |Q| >= beta*ln n, then a parallel
     phase until Q empties.  The trace marks the phase-switch round."""
-    I0 = set(I0)
-    if not I0:
-        raise ValueError("need a nonempty initiator set")
-    n = g.n
-    eng = _SequentialEngine(g, gp, I0, set(), cfg)
-    reason = eng.run(cap_sequential if cap_sequential is not None else _default_seq_cap(n),
-                     stop_queue_threshold=cfg.queue_threshold(n))
-    if reason == QUEUE_EMPTY or not eng.in_q:
-        return eng.trace(reason, phase_switch_round=None)
+    eng = _SequentialEngine(g, gp, _initial_sets(I0)[0], set(), cfg)
+    reason = eng.run(stop_queue_threshold=cfg.queue_threshold(g.n))
+    if reason == QUEUE_EMPTY:
+        return eng.trace(reason)
     switch = len(eng.rounds)
-    par = _ParallelEngine(g, gp, set(eng.in_q), eng.r | eng.d, cfg)
-    par.rounds = eng.rounds
-    preason = par.run(cap_parallel if cap_parallel is not None else _default_par_cap(n))
-    # the sequential R/D snapshot was folded into the parallel D0; report it as R/D
-    final_r = (par.r | par.d) - eng.d
-    trace = VisitTrace(par.rounds, set(par.q), final_r, set(eng.d), preason,
-                       phase_switch_round=switch)
-    trace.check_disjoint()
-    return trace
+    par = _hand_off(eng)
+    reason = par.run()
+    # the sequential R was folded into the parallel D0; report it as R
+    par.r, par.d = (par.r | par.d) - eng.d, eng.d
+    return par.trace(reason, phase_switch_round=switch)
 
 
-def _giant_search(g, gp, cfg: VisitConfig, engine_factory, second_phase,
-                  attempt_cap: Optional[int]) -> VisitTrace:
-    n = g.n
+def _giant_search(eng: _SequentialEngine, second_phase) -> VisitTrace:
+    """Bootstrap attempts of `eng`, each from the smallest node outside D
+    for at most beta' ln n rounds; an attempt whose queue outgrows
+    beta ln n is carried on by `second_phase(eng)` up to n/k visited nodes,
+    and a failed attempt's R joins D."""
+    n, cfg = eng.g.n, eng.cfg
     threshold = cfg.queue_threshold(n)
     linear = cfg.linear_size(n)
-    rounds_per_attempt = cfg.bootstrap_rounds(n)
-    if attempt_cap is None:
-        # gamma (per-attempt success probability) taken as 1/2
-        attempt_cap = 4 * math.ceil(math.log2(max(n, 2)))
-    eng = engine_factory()
-    attempts = 0
+    # gamma (per-attempt success probability) taken as 1/2
+    attempt_cap = 4 * math.ceil(math.log2(max(n, 2)))
+    attempts = s = 0
     while attempts < attempt_cap:
-        candidates = (v for v in range(n) if v not in eng.d)
-        s = next(candidates, None)
-        if s is None:
+        # D only grows, so every node below the cursor stays in D
+        while s < n and s in eng.d:
+            s += 1
+        if s == n:
             break
         attempts += 1
         eng.reseed(s)
-        eng.run(rounds_per_attempt,
+        eng.run(cfg.bootstrap_rounds(n),
                 stop_queue_threshold=threshold + 1,
                 stop_linear_size=linear + 1)
         if len(eng.in_q) + len(eng.r) > linear:
             # this attempt alone visited a linear-size set; done
             return eng.trace(REACHED_LINEAR_SIZE, attempts=attempts)
         if len(eng.in_q) > threshold:
-            return second_phase(eng, attempts)
+            switch = len(eng.rounds)
+            eng = second_phase(eng)
+            return eng.trace(eng.run(stop_linear_size=linear),
+                             phase_switch_round=switch, attempts=attempts)
         eng.d |= eng.r
         eng.r = set()
     return eng.trace(ITERATION_CAP, attempts=attempts)
 
 
-def search_giant_erdos(g, gp, cfg: VisitConfig,
-                       attempt_cap: Optional[int] = None) -> VisitTrace:
+def search_giant_erdos(g, gp, cfg: VisitConfig) -> VisitTrace:
     """Bootstrap attempts via the sequential visit, then a parallel visit
     seeded with the surviving queue.  Reports failure (IterationCap) after
-    the attempt cap when no bootstrap succeeds, as expected below threshold."""
-    n = g.n
-
-    def second_phase(eng, attempts):
-        switch = len(eng.rounds)
-        par = _ParallelEngine(g, gp, set(eng.in_q), eng.r | eng.d, cfg)
-        par.rounds = eng.rounds
-        reason = par.run(_default_par_cap(n), stop_linear_size=cfg.linear_size(n))
-        trace = par.trace(reason, phase_switch_round=switch, attempts=attempts)
-        return trace
-
-    return _giant_search(g, gp, cfg, lambda: _SequentialEngine(g, gp, {0}, set(), cfg),
-                         second_phase, attempt_cap)
+    4 ceil(log2 n) failed attempts, as expected below threshold."""
+    return _giant_search(_SequentialEngine(g, gp, {0}, set(), cfg), _hand_off)
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +323,17 @@ class _MatchingEngine(_SequentialEngine):
 
     def __init__(self, g, gp, I0, D0, cfg):
         d_init = set(D0)
-        ring_neighbors = lambda v: {(v - 1) % g.n, (v + 1) % g.n}
-        for v in set(D0):
-            d_init |= ring_neighbors(v)
-            d_init |= set(g.bridge_adjacency()[v])
+        for v in D0:
+            d_init |= {(v - 1) % g.n, (v + 1) % g.n, *g.bridge_adjacency()[v]}
         d_init -= set(I0)
         super().__init__(g, gp, I0, d_init, cfg)
         self.full_adj = g.bridge_adjacency()
 
-    def _dequeue(self) -> Optional[int]:
-        while self.q:
-            w = self.q.popleft()
-            if w in self.in_q:
-                return w
-        return None
-
     def step(self) -> None:
-        w = self._dequeue()
-        if w is None:
-            return
+        # a node moved from Q to R by its partner stays behind in the deque
+        w = self.q.popleft()
+        while w not in self.in_q:
+            w = self.q.popleft()
         self.in_q.discard(w)
         self.r.add(w)
         L = self.cfg.L
@@ -397,60 +365,43 @@ class _MatchingEngine(_SequentialEngine):
 def sequential_l_visit_matching(g, gp, I0, D0, cfg: VisitConfig,
                                 cap: Optional[int] = None) -> VisitTrace:
     """Four-case sequential visit for graphs whose bridges form a matching."""
-    import warnings
-
     if g.model_tag != "matching":
         raise ValueError("matching visit requires a matching-bridge graph")
-    I0, D0 = set(I0), set(D0)
-    if not I0:
-        raise ValueError("need a nonempty initiator set")
-    if I0 & D0:
-        raise ValueError("I0 and D0 must be disjoint")
+    I0, D0 = _initial_sets(I0, D0)
     if len(D0) > math.log(max(g.n, 2)) ** 4:
         warnings.warn("deleted set larger than log^4 n; growth guarantees may not apply")
     eng = _MatchingEngine(g, gp, I0, D0, cfg)
-    reason = eng.run(cap if cap is not None else _default_seq_cap(g.n))
-    return eng.trace(reason)
+    return eng.trace(eng.run(cap))
 
 
-def search_giant_matching(g, gp, cfg: VisitConfig,
-                          attempt_cap: Optional[int] = None) -> VisitTrace:
+def search_giant_matching(g, gp, cfg: VisitConfig) -> VisitTrace:
     """Giant-component search for the matching model: bootstrap attempts and
-    a second *sequential* phase (no parallel variant exists for matchings)."""
+    a second *sequential* phase (no parallel variant exists for matchings);
+    gives up (IterationCap) after 4 ceil(log2 n) failed attempts."""
     if g.model_tag != "matching":
         raise ValueError("matching search requires a matching-bridge graph")
-    n = g.n
-
-    def second_phase(eng, attempts):
-        switch = len(eng.rounds)
-        reason = eng.run(_default_seq_cap(n), stop_linear_size=cfg.linear_size(n))
-        return eng.trace(reason, phase_switch_round=switch, attempts=attempts)
-
-    return _giant_search(g, gp, cfg, lambda: _MatchingEngine(g, gp, {0}, set(), cfg),
-                         second_phase, attempt_cap)
+    return _giant_search(_MatchingEngine(g, gp, {0}, set(), cfg), lambda eng: eng)
 
 
 # ---------------------------------------------------------------------------
 # plain BFS (upper-bound device and generic reachability)
 # ---------------------------------------------------------------------------
 
-def plain_bfs(gp: PercolationGraph, s: int, cap: Optional[int] = None,
-              flavor: str = "neighbor") -> VisitTrace:
-    """Standard BFS over the percolation graph from s.
+def plain_bfs(gp: PercolationGraph, s: int, flavor: str = "neighbor") -> VisitTrace:
+    """Standard BFS over the percolation graph from s, on `bfs_order`.
 
     flavor="neighbor" explores retained edges one hop at a time;
-    flavor="cluster" dequeues a node, then enqueues the unvisited local
-    cluster of each unvisited retained-bridge neighbor (the queue is seeded
-    with the local cluster of s).  Both reach exactly the component of s.
+    flavor="cluster" starts from the local cluster of s and queues, for
+    each dequeued node, the local cluster of each retained-bridge neighbor.
+    Both reach exactly the component of s.  Row i of the trace is
+    (|Q|, |R|, 0) once the (i+1)-th node has left the queue.
     """
     if flavor not in ("neighbor", "cluster"):
         raise ValueError(f"unknown flavor: {flavor}")
-    n = gp.n
-    cap = cap if cap is not None else 2 * n
-    rounds: list = []
+    adj = gp.retained_bridge_adjacency()
     if flavor == "neighbor":
-        adj = gp.retained_bridge_adjacency()
-        ring = gp.ring_active
+        n, ring = gp.n, gp.ring_active
+        sources = [s]
 
         def neighbors(w):
             out = list(adj[w])
@@ -460,43 +411,13 @@ def plain_bfs(gp: PercolationGraph, s: int, cap: Optional[int] = None,
                 if ring[(w - 1) % n]:
                     out.append((w - 1) % n)
             return sorted(out)
-
-        q = deque([s])
-        seen = {s}
-        r: set = set()
-        done = 0
-        while q and done < cap:
-            w = q.popleft()
-            r.add(w)
-            for y in neighbors(w):
-                if y not in seen:
-                    seen.add(y)
-                    q.append(y)
-            rounds.append((len(q), len(r), 0))
-            done += 1
-        reason = QUEUE_EMPTY if not q else ITERATION_CAP
-        trace = VisitTrace(rounds, set(q), r, set(), reason)
     else:
-        adj = gp.retained_bridge_adjacency()
-        from .local_clusters import local_cluster
+        sources = sorted(local_cluster(gp, s))
 
-        seed = sorted(local_cluster(gp, s))
-        q = deque(seed)
-        seen = set(seed)
-        r = set()
-        done = 0
-        while q and done < cap:
-            w = q.popleft()
-            r.add(w)
-            for x in adj[w]:
-                if x not in seen:
-                    for y in sorted(local_cluster(gp, x)):
-                        if y not in seen:
-                            seen.add(y)
-                            q.append(y)
-            rounds.append((len(q), len(r), 0))
-            done += 1
-        reason = QUEUE_EMPTY if not q else ITERATION_CAP
-        trace = VisitTrace(rounds, set(q), r, set(), reason)
-    trace.check_disjoint()
-    return trace
+        def neighbors(w):
+            return [y for x in adj[w] for y in sorted(local_cluster(gp, x))]
+
+    order, found = bfs_order(sources, neighbors)
+    rounds = [(len(sources) + reached - i - 1, i + 1, 0)
+              for i, reached in enumerate(accumulate(found))]
+    return VisitTrace(rounds, set(), set(order), set(), QUEUE_EMPTY)

@@ -162,6 +162,16 @@ def test_scaling_study_diameter_cap_flag():
     assert rows[0].median_giant_diameter is None
 
 
+def test_zero_trials_are_refused():
+    spec = ModelSpec("swg", c=1.0)
+    for call in (lambda: probe_point(spec, 2000, 0.5, 0, Seed(1)),
+                 lambda: estimate_threshold(spec, 5000, 0, 0.05, Seed(1)),
+                 lambda: scaling_study(spec, 0.3, [64], 0, Seed(1)),
+                 lambda: survival_from_single_source(spec, 0.5, 2000, 0, Seed(1))):
+        with pytest.raises(ValueError, match="trials"):
+            call()
+
+
 def test_survival_from_single_source_extremes():
     spec = ModelSpec("swg", c=1.0)
     assert survival_from_single_source(spec, 1.0, 2000, 10, Seed(14)) == 1.0

@@ -11,7 +11,6 @@ from percolab.branching import (
     SurvivalEstimate,
     extinction_probability,
     gw_upper_population,
-    mean_offspring,
     run_gw,
     survival_probability,
 )
@@ -23,15 +22,15 @@ from percolab.rng import Seed
 # ---------------------------------------------------------------------------
 
 def test_mean_offspring_binomial_trivial():
-    assert mean_offspring(Binomial(10, 0.0)) == 0.0
-    assert mean_offspring(Binomial(10, 0.3)) == pytest.approx(3.0)
+    assert Binomial(10, 0.0).mean() == 0.0
+    assert Binomial(10, 0.3).mean() == pytest.approx(3.0)
 
 
 def test_compound_mean_is_one_at_threshold():
     # pc(1+p)/(1-p) = 1 exactly at the critical root for c=1
     p = math.sqrt(2) - 1
     law = CompoundZeta(10_000, p, 1.0)
-    assert mean_offspring(law) == pytest.approx(1.0, abs=1e-12)
+    assert law.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_geometric_cutoff_mean_closed_form():

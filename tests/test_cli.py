@@ -33,6 +33,14 @@ def test_generate_writes_loadable_graph(runner, tmp_path):
     assert manifest["command"] == "generate"
 
 
+def test_generate_tiny_c_writes_a_bare_ring(runner, tmp_path):
+    out = tmp_path / "g.edges"
+    res = runner.invoke(main, ["generate", "--model", "swg", "--n", "10", "--c", "1e-18",
+                               "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert load_edge_list(out).num_bridges == 0
+
+
 def test_generate_rejects_odd_matching(runner, tmp_path):
     res = runner.invoke(main, ["generate", "--model", "matching", "--n", "501",
                                "--seed", "1", "--out", str(tmp_path / "m.edges")])
@@ -201,6 +209,20 @@ def test_gw_command(runner, tmp_path):
     header, row, _ = _read(out).decode().strip().splitlines()
     cols = dict(zip(header.split(","), row.split(",")))
     assert abs(float(cols["survival"]) - float(cols["oracle_survival"])) < 0.05
+
+
+@pytest.mark.parametrize("args", [
+    ["threshold", "--model", "matching", "--n", "5000", "--jobs", "1"],
+    ["scaling", "--model", "swg", "--p", "0.3", "--n-list", "64", "--jobs", "1"],
+    ["gw", "--law", "binomial:3:0.4"],
+])
+def test_zero_trials_exit_2_with_one_json_object(runner, tmp_path, args):
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, args + ["--trials", "0", "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "trials" in json.loads(lines[0])["error"]
+    assert not out.exists()
 
 
 def test_gw_rejects_bad_law(runner):

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from percolab.epidemic import (
     EpidemicConfig,
@@ -17,6 +19,7 @@ from percolab.epidemic import (
 )
 from percolab.graphs import (
     GenericGraph,
+    percolate,
     sample_regular,
     sample_swg_erdos,
     sample_swg_matching,
@@ -209,6 +212,24 @@ def test_reachability_law_trivial_probabilities():
                                                    Seed(9).generator())
     assert sizes0 == Counter({1: 10})
     assert layers0 == Counter({(1,): 10})
+
+
+def test_reachability_layers_match_scipy_hop_distances():
+    rng = Seed(31).generator()
+    for trial in range(40):
+        n = 2 * int(rng.integers(3, 200))
+        g = sample_swg_erdos(n, 1.5, rng) if trial % 2 else sample_regular(n, 3, rng)
+        p = float(rng.uniform(0.2, 0.9))
+        i0 = {int(x) for x in rng.choice(n, int(rng.integers(1, 4)), replace=False)}
+        seed = derive(Seed(31), trial)
+        _, layer_law = percolation_reachability_law(g, i0, p, p, 1, seed.generator())
+        # the same percolation, layered by scipy's unweighted hop distances
+        u, v = percolate(g, p, p, seed.generator()).active_edge_arrays()
+        adj = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+        hops = shortest_path(adj, directed=False, unweighted=True,
+                             indices=sorted(i0)).min(axis=0)
+        want = tuple(np.bincount(hops[np.isfinite(hops)].astype(int)).tolist())
+        assert layer_law == Counter({want: 1})
 
 
 def test_per_step_equivalence_with_percolation_layers():

@@ -71,6 +71,21 @@ def test_erdos_marginal_pair_probability():
         assert abs(hits[pr] / trials - q) < 4 * sigma
 
 
+def test_erdos_sampler_survives_tiny_c_and_keeps_its_draws():
+    # numpy's geometric saturates at 2**63 - 1 for a tiny q; the sampler
+    # caps the gaps, which must leave every bridge array as the draws give it
+    for c in (1e-18, 1e-300):
+        assert sample_swg_erdos(10, c, Seed(0).generator()).num_bridges == 0
+    n, c = 12, 0.25
+    pairs = list(itertools.combinations(range(n), 2))
+    for seed in range(40):
+        g = sample_swg_erdos(n, c, Seed(seed).generator())
+        # one batch of 64 uncapped gaps, walked from pair -1
+        pts = -1 + np.cumsum(Seed(seed).generator().geometric(c / n, size=64))
+        want = [pairs[i] for i in pts[pts < len(pairs)].tolist()]
+        assert list(zip(g.bridge_u.tolist(), g.bridge_v.tolist())) == want
+
+
 def test_erdos_rejects_bad_parameters():
     rng = Seed(0).generator()
     with pytest.raises(ValueError):
@@ -563,7 +578,7 @@ def _graphs(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "erdos":
-        c = draw(st.just(0.0) | st.floats(0.01, 3.0))
+        c = draw(st.just(0.0) | st.floats(0.0, 1e-12) | st.floats(0.01, 3.0))
         return sample_swg_erdos(draw(st.integers(3, 40)), c, rng)
     if kind == "matching":
         return sample_swg_matching(2 * draw(st.integers(2, 20)), rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from percolab.rng import Seed, bernoulli, derive, entropy_seed
+from percolab.rng import Seed, derive, entropy_seed
 
 
 def test_same_seed_same_stream():
@@ -40,20 +40,6 @@ def test_seed_rejects_out_of_range():
         Seed(-1)
     with pytest.raises(ValueError):
         Seed(2 ** 64)
-
-
-def test_bernoulli_edge_cases():
-    rng = Seed(0).generator()
-    assert not any(bernoulli(rng, 0.0) for _ in range(100))
-    assert all(bernoulli(rng, 1.0) for _ in range(100))
-    with pytest.raises(ValueError):
-        bernoulli(rng, 1.5)
-
-
-def test_bernoulli_mean():
-    rng = Seed(8).generator()
-    hits = sum(bernoulli(rng, 0.3) for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.3) < 0.01
 
 
 def test_entropy_seed_varies():

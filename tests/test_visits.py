@@ -254,3 +254,58 @@ def test_visit_sets_always_disjoint():
                   union_l_visit(g, gp, {s}, VisitConfig(L=3))):
             t.check_disjoint()
             assert (t.final_q | t.final_r) <= _component_of(gp, s)
+
+
+# ---------------------------------------------------------------------------
+# pinned traces
+# ---------------------------------------------------------------------------
+
+# sha256 prefixes of every trace of each algorithm over _pinned_cases(),
+# recorded before the visits shared one engine loop; a change of any round,
+# final set, reason, switch round or attempt count changes the digest
+PINNED_TRACE_DIGESTS = {
+    "sequential": "31a2c965a75cd12a",
+    "parallel": "e8775fd3051b5317",
+    "union": "0ec783edf782b932",
+    "search": "49823a6dfb104ff5",
+    "bfs": "a0cf83f05a478211",
+    "bfs-cluster": "c4523bf573ffe792",
+    "matching": "2649b8aacc741efa",
+    "matching-search": "8463c4de72d794bf",
+}
+
+
+def _pinned_cases():
+    """Seeded swg and matching graphs, a source and a nonempty D0 each,
+    sized so that unions and both searches switch phase in some cases."""
+    rng = Seed(2024).generator()
+    for n, p in [(40, 0.5), (200, 0.55), (200, 0.8), (1500, 0.6), (3000, 0.65),
+                 (3000, 0.3), (3000, 0.8)]:
+        for g in (sample_swg_erdos(n, 1.0, rng), sample_swg_matching(n, rng)):
+            gp = percolate(g, p, p, rng)
+            s = int(rng.integers(n))
+            d0 = {int(x) for x in rng.choice(n, 3, replace=False)} - {s}
+            yield g, gp, s, d0
+
+
+def test_visit_traces_match_pinned_digests():
+    import hashlib
+
+    cfg = VisitConfig(L=3)
+    digests: dict = {}
+    for g, gp, s, d0 in _pinned_cases():
+        runs = {"sequential": lambda: sequential_l_visit(g, gp, {s}, d0, cfg),
+                "parallel": lambda: parallel_l_visit(g, gp, {s}, d0, cfg),
+                "union": lambda: union_l_visit(g, gp, {s}, cfg),
+                "search": lambda: search_giant_erdos(g, gp, cfg),
+                "bfs": lambda: plain_bfs(gp, s),
+                "bfs-cluster": lambda: plain_bfs(gp, s, flavor="cluster")}
+        if g.model_tag == "matching":
+            runs["matching"] = lambda: sequential_l_visit_matching(g, gp, {s}, d0, cfg)
+            runs["matching-search"] = lambda: search_giant_matching(g, gp, cfg)
+        for name, run in runs.items():
+            t = run()
+            key = (t.rounds, sorted(t.final_q), sorted(t.final_r), sorted(t.final_d),
+                   t.terminated_reason, t.phase_switch_round, t.attempts)
+            digests.setdefault(name, hashlib.sha256()).update(repr(key).encode())
+    assert {k: h.hexdigest()[:16] for k, h in digests.items()} == PINNED_TRACE_DIGESTS
