@@ -227,6 +227,9 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
         raise ValueError("need n >= 1000 for a meaningful classification")
     if bracket_tolerance < 0.005:
         raise ValueError("bracket tolerance below resolution floor (0.005)")
+    if not bracket_tolerance < 1:  # also refuses nan
+        raise ValueError("bracket tolerance must be below 1, the width of the "
+                         "starting bracket [0, 1]")
     if trials_per_point < 1:
         raise ValueError("need trials >= 1")
     model.validate_n(n)
@@ -276,8 +279,7 @@ def _scaling_trial(model: ModelSpec, n: int, p: float,
     g = model.sample(n, rng)
     pl, pb = model.probe_probs(p)
     gp = percolate(g, pl, pb, rng)
-    comps = connected_components(gp)
-    giant = comps[0]
+    giant = connected_components(gp)[0]
     if len(giant) > size_cap or len(giant) < 2:
         return len(giant), None
     return len(giant), component_diameter(gp, giant)

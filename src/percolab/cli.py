@@ -18,6 +18,7 @@ import time
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import analysis, branching, epidemic, graphs, visits
 from .rng import Seed, derive, entropy_seed
@@ -66,11 +67,14 @@ def _git_describe() -> str:
 
 
 def _write_csv(path: str, header: str, rows, seed: Seed) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(f"{row}\n")
-        fh.write(f"# seed={seed.master}\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(f"{row}\n")
+            fh.write(f"# seed={seed.master}\n")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
     click.echo(f"wrote {path}", err=True)
 
 
@@ -86,26 +90,51 @@ def _write_manifest(out: str, command: str, params: dict, seed: Seed,
     if extra:
         manifest.update(extra)
     path = out + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
     click.echo(f"wrote {path}", err=True)
 
 
+def _flag_text(param: click.Parameter, value):
+    """A JSON config value as the text its flag would carry (a list of texts
+    for a repeatable flag), so click converts and checks it as it would on
+    the command line: a float or a bool is not an integer, a list not a
+    number."""
+    if value is None:
+        return None
+    if param.multiple:
+        return [str(x) for x in (value if isinstance(value, list) else [value])]
+    return str(value)
+
+
 def _load_config(ctx: click.Context, config_path, params: dict) -> dict:
-    """JSON config merged under explicitly-given flags (flags win)."""
+    """JSON config merged under explicitly-given flags (flags win), each
+    value converted by its option's type."""
     if not config_path:
         return params
-    with open(config_path) as fh:
-        cfg = json.load(fh)
-    from click.core import ParameterSource
+    try:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        _fail(f"--config {config_path}: {exc}")
+    if not isinstance(cfg, dict):
+        _fail(f"--config {config_path}: not a JSON object")
+    options = {param.name: param for param in ctx.command.params}
     merged = dict(params)
     for key, value in cfg.items():
         key = key.replace("-", "_")
         if key not in merged:
-            raise click.UsageError(f"unknown config key: {key}")
+            _fail(f"unknown config key: {key}")
         if ctx.get_parameter_source(key) == ParameterSource.DEFAULT:
-            merged[key] = value
+            param = options[key]
+            try:
+                merged[key] = param.type_cast_value(ctx, _flag_text(param, value))
+            except click.BadParameter as exc:
+                _fail(f"--config {key}: {exc.format_message()}")
     return merged
 
 
@@ -167,7 +196,10 @@ def generate(ctx, config, **params):
         g = spec.sample(p["n"], seed.generator())
     except ValueError as exc:
         _fail(str(exc))
-    graphs.save_edge_list(g, p["out"])
+    try:
+        graphs.save_edge_list(g, p["out"])
+    except OSError as exc:
+        _fail(f"cannot write {p['out']}: {exc.strerror or exc}")
     click.echo(f"wrote {p['out']}", err=True)
     _write_manifest(p["out"], "generate", p, seed, started)
 
@@ -292,11 +324,13 @@ def _parse_incubation(text):
     if text is None:
         return None
     kind, _, value = text.partition(":")
-    if kind == "fixed":
-        return ("fixed", int(value))
-    if kind == "geometric":
-        return ("geometric", float(value))
-    raise click.UsageError(f"bad incubation spec: {text}")
+    parse = {"fixed": int, "geometric": float}.get(kind)
+    if parse is not None:
+        try:
+            return (kind, parse(value))
+        except ValueError:
+            pass
+    _fail(f"bad incubation spec {text!r}: want fixed:<h> or geometric:<q>")
 
 
 @main.command("epidemic")
@@ -359,8 +393,8 @@ def _parse_law(text: str) -> branching.OffspringLaw:
             return branching.CompoundZeta(int(parts[1]), float(parts[2]),
                                           float(parts[3]))
     except (IndexError, ValueError) as exc:
-        raise click.UsageError(f"bad law spec {text!r}: {exc}")
-    raise click.UsageError(f"unknown law: {kind}")
+        _fail(f"bad law spec {text!r}: {exc}")
+    _fail(f"unknown law: {kind}")
 
 
 @main.command()

@@ -9,6 +9,8 @@ ring edges are stored implicitly and percolated via an n-bit mask.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -393,20 +395,57 @@ def component_labels(gp) -> tuple:
     return labels, sizes
 
 
-def connected_components(gp) -> list:
-    """Partition of V into components, sorted by size descending and then by
-    smallest contained node id (label order is smallest-node order, see
-    `component_labels`, so a stable sort on size gives the tie-break)."""
-    labels, sizes = component_labels(gp)
-    members = np.argsort(labels, kind="stable").tolist()
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    return [set(members[bounds[k]:bounds[k + 1]])
-            for k in np.argsort(-sizes, kind="stable").tolist()]
+class Components(abc.Sequence):
+    """Read-only sequence of a graph's components as node sets, largest
+    first, ties broken by smallest node (see `connected_components`).
+
+    It holds the nodes grouped by label, ascending within each group (a
+    stable argsort of the labels), the group bounds (the cumsum of the
+    sizes) and the labels in rank order (a stable argsort of -sizes).  Item
+    i builds a fresh set of the i-th largest component each time it is
+    read; a slice gives a list of sets, and the view equals a list holding
+    the same sets in the same order.
+    """
+
+    __slots__ = ("_members", "_bounds", "_rank")
+
+    def __init__(self, labels: np.ndarray, sizes: np.ndarray):
+        self._members = np.argsort(labels, kind="stable")
+        self._bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self._rank = np.argsort(-sizes, kind="stable")
+
+    def __len__(self) -> int:
+        return len(self._rank)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        k = self._rank[operator.index(i)]
+        return set(self._members[self._bounds[k]:self._bounds[k + 1]].tolist())
+
+    def __iter__(self) -> Iterator[set]:
+        members = self._members.tolist()
+        bounds = self._bounds.tolist()
+        for k in self._rank.tolist():
+            yield set(members[bounds[k]:bounds[k + 1]])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Components, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
-def largest_component_size(gp) -> int:
-    _, sizes = component_labels(gp)
-    return int(sizes.max()) if len(sizes) else 0
+def connected_components(gp) -> Components:
+    """Components of gp, sorted by size descending and then by smallest
+    contained node id (label order is smallest-node order, see
+    `component_labels`, so a stable sort on size gives the tie-break).
+
+    The result is a lazy `Components` view, not a list: it has no `append`,
+    `sort` or `+`.  It costs `component_labels` plus two argsorts, and a set
+    is built only for a component that is read, so
+    `connected_components(gp)[0]` builds one set.
+    """
+    return Components(*component_labels(gp))
 
 
 def bfs_order(sources, neighbours) -> tuple:
@@ -635,15 +674,22 @@ def _lex_order(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(u * n + v, kind="stable")
 
 
+def _refuse_repeats(u: np.ndarray, v: np.ndarray, what: str) -> None:
+    """Raise when lexicographically sorted edge arrays hold an edge twice."""
+    if np.any((np.diff(u) == 0) & (np.diff(v) == 0)):
+        raise ValueError(f"{what} is listed twice")
+
+
 def load_edge_list(path):
-    """Inverse of save_edge_list; the round trip is lossless.
+    """Inverse of save_edge_list; the round trip is lossless for every graph
+    that holds no edge twice (the samplers never make one).
 
     Raises ValueError on a malformed file: a header without `n=` or
     `model=`, an n outside [0, 2**31], a line other than `u v kind` with
     integers u, v, an edge kind other than R or B, a node outside [0, n),
     an edge not given as u < v, a `model=matching` file in which a node has
     two bridges, a ring-based file whose R lines are not exactly the n ring
-    edges, or a bridge given twice."""
+    edges, a bridge given twice, or a `model=generic` edge given twice."""
     with open(path, "rb") as fh:
         data = fh.read()
     # read as text would: UTF-8 only, with \r\n and lone \r ending lines
@@ -666,7 +712,9 @@ def load_edge_list(path):
     u, v, is_bridge = _parse_edge_lines(body)
     if tag == "generic":
         order = _lex_order(u, v, n)
-        return GenericGraph(n, u[order], v[order])
+        g = GenericGraph(n, u[order], v[order])
+        _refuse_repeats(g.edge_u, g.edge_v, "an edge")
+        return g
     bu, bv = u[is_bridge], v[is_bridge]
     order = _lex_order(bu, bv, n)
     g = SmallWorldGraph(n, bu[order], bv[order], tag)
@@ -678,6 +726,5 @@ def load_edge_list(path):
     if (len(ru) != n or not np.all(wrap | ((ru >= 0) & (rv == ru + 1) & (rv < n)))
             or np.any(np.bincount(np.where(wrap, n - 1, ru), minlength=n) != 1)):
         raise ValueError(f"the R lines must be exactly the {n} ring edges")
-    if np.any((np.diff(g.bridge_u) == 0) & (np.diff(g.bridge_v) == 0)):
-        raise ValueError("a bridge is listed twice")
+    _refuse_repeats(g.bridge_u, g.bridge_v, "a bridge")
     return g

@@ -2,13 +2,14 @@
 
 These are the straightforward per-line and per-node versions that the
 array-based code in `percolab` replaced: a line-by-line edge-file parser,
-list-of-lists adjacency, and the set-based epidemic simulator.
+list-of-lists adjacency, the eager list of component sets, and the
+set-based epidemic simulator.
 """
 
 import numpy as np
 
 from percolab.epidemic import EpidemicTrace
-from percolab.graphs import GenericGraph, SmallWorldGraph
+from percolab.graphs import GenericGraph, SmallWorldGraph, component_labels
 
 
 def list_adjacency(n, u, v):
@@ -58,6 +59,16 @@ def load_edge_list_lines(path):
     if tag == "matching" and np.bincount(np.concatenate([bu, bv])).max(initial=0) > 1:
         raise ValueError("model=matching but a node has two bridges")
     return g
+
+
+def connected_components_eager(gp):
+    """One set per component, built up front: sorted by size descending,
+    then by smallest node."""
+    labels, sizes = component_labels(gp)
+    members = np.argsort(labels, kind="stable").tolist()
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    return [set(members[bounds[k]:bounds[k + 1]])
+            for k in np.argsort(-sizes, kind="stable").tolist()]
 
 
 def simulate_sets(g, I0, cfg, rng, max_steps=None):

@@ -121,6 +121,10 @@ def test_estimate_threshold_validation():
         estimate_threshold(spec, 100, 5, 0.05, Seed(0))
     with pytest.raises(ValueError):
         estimate_threshold(spec, 5000, 5, 0.001, Seed(0))
+    # the bracket starts as [0, 1]: a tolerance of 1 or more ran no probe
+    for tol in (1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="below 1"):
+            estimate_threshold(spec, 5000, 5, tol, Seed(0))
 
 
 def test_estimate_threshold_small_scale():

@@ -230,6 +230,55 @@ def test_gw_rejects_bad_law(runner):
     assert res.exit_code == 2
 
 
+_SCALING = ["scaling", "--model", "swg", "--p", "0.3", "--n-list", "64", "--jobs", "1"]
+_SEEDED_SCALING = _SCALING + ["--trials", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("config, args, message", [
+    ("{trials: 3", _SEEDED_SCALING, "--config"),
+    ("[1, 2]", _SEEDED_SCALING, "JSON object"),
+    ('{"turbo": true}', _SEEDED_SCALING, "unknown config key"),
+    ('{"seed": "x"}', _SCALING + ["--trials", "2"], "--config seed"),
+    ('{"trials": 2.5}', _SCALING + ["--seed", "1"], "--config trials"),
+    (None, ["threshold", "--model", "swg", "--n", "5000", "--trials", "2", "--tol", "1.5",
+            "--seed", "1", "--jobs", "1"], "tolerance"),
+    (None, ["gw", "--law", "foo", "--seed", "1"], "unknown law"),
+    (None, ["gw", "--law", "binomial:3", "--seed", "1"], "bad law spec"),
+    (None, ["epidemic", "--graph", FIXTURE, "--p", "0.5", "--process", "seir",
+            "--incubation", "uniform:2", "--seed", "1"], "incubation"),
+    (None, ["epidemic", "--graph", FIXTURE, "--p", "0.5", "--process", "seir",
+            "--incubation", "fixed:x", "--seed", "1"], "incubation"),
+])
+def test_parameter_errors_exit_2_with_one_json_object(runner, tmp_path, config, args, message):
+    out = tmp_path / "o.csv"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args = args + ["--config", str(tmp_path / "cfg.json")]
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    _SEEDED_SCALING,
+    ["generate", "--model", "swg", "--n", "50", "--seed", "1"],
+])
+def test_unwritable_out_exits_2_with_one_json_object(runner, tmp_path, args):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "o.csv")])
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "cannot write" in json.loads(lines[0])["error"]
+
+
+def test_unwritable_manifest_exits_2_with_json_error(runner, tmp_path):
+    (tmp_path / "o.csv.manifest.json").mkdir()
+    res = runner.invoke(main, _SEEDED_SCALING + ["--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 2, res.output
+    assert "o.csv.manifest.json" in _json_error(res)
+
+
 def test_threshold_command_small(runner, tmp_path):
     out = tmp_path / "th.csv"
     res = runner.invoke(main, ["threshold", "--model", "matching",

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from percolab import graphs
 from percolab.graphs import (
+    Components,
     GenericGraph,
     PercolationGraph,
     SmallWorldGraph,
@@ -18,7 +19,6 @@ from percolab.graphs import (
     component_diameter,
     component_labels,
     connected_components,
-    largest_component_size,
     load_edge_list,
     percolate,
     percolate_coupled,
@@ -29,7 +29,7 @@ from percolab.graphs import (
 )
 from percolab.rng import Seed
 
-from .oracles import list_adjacency, load_edge_list_lines
+from .oracles import connected_components_eager, list_adjacency, load_edge_list_lines
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_percolate_extremes():
     assert full.ring_active.all() and full.bridge_active.all()
     empty = percolate(g, 0.0, 0.0, rng)
     assert not empty.ring_active.any() and not empty.bridge_active.any()
-    assert largest_component_size(empty) == 1
+    assert component_labels(empty)[1].max() == 1
 
 
 def test_percolate_split_probabilities():
@@ -265,6 +265,46 @@ def test_components_match_flood_fill_oracle():
         assert connected_components(gp) == _flood_fill_components(gp)
 
 
+def _component_cases():
+    """Percolated swg Erdos, matching, 3-regular and a generic graph with
+    isolated nodes, at p in {0, 0.3, 0.55, 1}; p = 0 ties every size, and
+    the generic graph ties two triangles, then two singletons."""
+    rng = Seed(21).generator()
+    generic = GenericGraph(10, np.array([0, 0, 1, 3, 3, 4, 8]),
+                           np.array([1, 2, 2, 4, 6, 6, 9]))
+    for g in (sample_swg_erdos(300, 1.0, rng), sample_swg_matching(300, rng),
+              sample_regular(300, 3, rng), generic):
+        for p in (0.0, 0.3, 0.55, 1.0):
+            yield percolate(g, p, p, rng)
+
+
+def test_components_view_reads_like_the_eager_list():
+    tied = 0
+    for gp in _component_cases():
+        comps = connected_components(gp)
+        want = connected_components_eager(gp)
+        assert isinstance(comps, Components)
+        assert want == _flood_fill_components(gp)
+        assert comps == want and want == comps and comps == connected_components(gp)
+        assert comps != want[:-1] and comps != tuple(want)
+        assert len(comps) == len(want) and list(comps) == want
+        tied += any(len(a) == len(b) for a, b in zip(want, want[1:]))
+        m = len(want)
+        for i in range(-m, m):
+            assert comps[i] == want[i]
+        for sl in (slice(None), slice(1, None, 2), slice(None, None, -3),
+                   slice(-4, None), slice(2, 1), slice(m + 5, None), slice(-m - 9, 2)):
+            assert comps[sl] == want[sl]
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                comps[i]
+        assert want[-1] in comps and want[0] | {-1} not in comps
+        first = comps[0]
+        first.add(-1)  # each read builds a fresh set
+        assert comps[0] == want[0] and comps[0] is not comps[0]
+    assert tied == 13  # all but the three sampled graphs at p = 1, each connected
+
+
 def _uncontracted_labels(gp):
     """Reference: scipy's labels over every retained edge, node by node."""
     u, v = gp.active_edge_arrays()
@@ -318,7 +358,7 @@ def test_component_labels_sizes_consistent():
     gp = percolate(g, 0.6, 0.6, rng)
     labels, sizes = component_labels(gp)
     assert sizes.sum() == g.n
-    assert largest_component_size(gp) == sizes.max()
+    assert component_labels(gp)[1].max() == len(connected_components(gp)[0])
 
 
 def _apsp_diameter(g, component):
@@ -493,6 +533,7 @@ def test_edge_list_rejects_malformed_files(tmp_path):
         r"\[0, 5\)": "# swg n=5 model=erdos:c=1\n" + ring5 + "2 9 B\n",
         "two bridges": "# swg n=6 model=matching\n0 2 B\n0 3 B\n",
         r"\[0, 3\)": "# swg n=3 model=generic\n0 1 R\n1 3 R\n",
+        "an edge is listed twice": "# swg n=3 model=generic\n0 1 R\n1 2 R\n0 1 R\n",
     }
     for message, text in bad.items():
         with pytest.raises(ValueError, match=message):
@@ -597,6 +638,11 @@ def _graphs(draw):
 def test_loader_matches_line_parser_on_saved_files(tmp_path, g):
     path = tmp_path / "g.edges"
     save_edge_list(g, path)
+    edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist())) if isinstance(g, GenericGraph) else []
+    if len(set(edges)) < len(edges):  # a multi-edge file is refused
+        with pytest.raises(ValueError, match="listed twice"):
+            load_edge_list(path)
+        return
     got = load_edge_list(path)
     _same_graph(got, load_edge_list_lines(path))
     _same_graph(got, g)
