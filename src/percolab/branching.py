@@ -106,8 +106,8 @@ class CompoundZeta(OffspringLaw):
     c: float
 
     def __post_init__(self):
-        if self.n < 1 or self.c <= 0:
-            raise ValueError("need n >= 1 and c > 0")
+        if self.n < 1 or not 0 < self.c < math.inf:
+            raise ValueError("need n >= 1 and finite c > 0")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p out of range")
         if self.p >= 1.0:
@@ -269,6 +269,10 @@ def survival_probability(law: OffspringLaw, b0: int, horizon: int,
     Vectorized: all trial populations are advanced one step per loop
     iteration, drawing offspring only for still-alive trials.
     """
+    if b0 < 1:
+        raise ValueError("need b0 >= 1")
+    if horizon < 0:
+        raise ValueError("need horizon >= 0")
     if trials < 1:
         raise ValueError("need trials >= 1")
     pops = np.full(trials, b0, dtype=np.int64)
@@ -282,18 +286,3 @@ def survival_probability(law: OffspringLaw, b0: int, horizon: int,
     survivors = int((pops > 0).sum())
     frac, lo, hi = _wilson(survivors, trials)
     return SurvivalEstimate(frac, lo, hi, trials)
-
-
-def gw_upper_population(n: int, p: float, c: float, t: int,
-                        rng: np.random.Generator) -> int:
-    """Total population sum_{i<=t} W_i of t i.i.d. compound draws.
-
-    This dominates the number of nodes a truncated visit can enqueue in t
-    rounds, so its tail upper-bounds the visit-queue tail.
-    """
-    if t < 0:
-        raise ValueError("need t >= 0")
-    if p == 0.0 or t == 0:
-        return 0
-    law = CompoundZeta(n, p, c)
-    return int(law.sample_many(rng, t).sum())

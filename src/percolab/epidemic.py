@@ -51,9 +51,13 @@ class EpidemicConfig:
         if self.p is None and self.p_local is None and self.p_map is None:
             raise ValueError("no transmission probability configured")
         if self.incubation is not None:
-            kind = self.incubation[0]
+            kind, param = self.incubation
             if kind not in ("fixed", "geometric"):
                 raise ValueError(f"unknown incubation law: {kind}")
+            if kind == "fixed" and not (isinstance(param, (int, np.integer)) and param >= 0):
+                raise ValueError(f"fixed incubation needs an integer h >= 0, got {param!r}")
+            if kind == "geometric" and not 0 < param <= 1:
+                raise ValueError(f"geometric incubation needs 0 < q <= 1, got {param!r}")
 
     def edge_prob(self, u: int, v: int, kind: str) -> float:
         if self.p_map is not None:

@@ -228,7 +228,7 @@ def sample_swg_erdos(n: int, c: float, rng: np.random.Generator) -> SmallWorldGr
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if c < 0:
+    if not c >= 0:  # also refuses nan
         raise ValueError("need c >= 0")
     q = c / n
     if q > 1:
@@ -284,8 +284,8 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
     """
     if n * d % 2 != 0:
         raise ValueError("n*d must be even")
-    if d >= n:
-        raise ValueError("need d < n")
+    if not 0 <= d < n:
+        raise ValueError("need 0 <= d < n")
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     for _ in range(max_tries):
         perm = rng.permutation(stubs)
@@ -299,7 +299,9 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
             continue
         order = np.lexsort((v, u))
         return GenericGraph(n, u[order], v[order])
-    raise RuntimeError("failed to sample a simple regular graph")
+    # a pairing is simple with probability about exp(-(d^2 - 1) / 4)
+    raise ValueError(f"no simple {d}-regular pairing in {max_tries} tries; "
+                     "stub matching rarely succeeds for d >= 5")
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +351,6 @@ def _as_edge_arrays(gp) -> tuple:
     raise TypeError(f"unsupported graph type: {type(gp)!r}")
 
 
-def _num_nodes(gp) -> int:
-    return gp.n
-
-
 def _ring_arcs(ring: np.ndarray) -> tuple:
     """(arc, k): arc[i] is the id of the run of retained ring edges holding
     node i, numbered 0..k-1 in order of each arc's smallest node.  Node i
@@ -383,7 +381,7 @@ def component_labels(gp) -> tuple:
         u = arc[gp.base.bridge_u[gp.bridge_active]]
         v = arc[gp.base.bridge_v[gp.bridge_active]]
     else:
-        arc, k = None, _num_nodes(gp)
+        arc, k = None, gp.n
         u, v = _as_edge_arrays(gp)
     data = np.ones(len(u), dtype=np.int8)
     mat = csr_matrix((data, (u, v)), shape=(k, k))
@@ -479,7 +477,7 @@ def _subgraph_csr(gp, nodes: np.ndarray) -> csr_matrix:
     duplicates; the sums are reset to 1) and self-loops are dropped."""
     u, v = _as_edge_arrays(gp)
     m = len(nodes)
-    remap = np.full(_num_nodes(gp), -1, dtype=np.int64)
+    remap = np.full(gp.n, -1, dtype=np.int64)
     remap[nodes] = np.arange(m)
     su, sv = remap[u], remap[v]
     keep = (su >= 0) & (sv >= 0) & (su != sv)

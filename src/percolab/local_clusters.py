@@ -1,10 +1,10 @@
-"""Local clusters on the percolated ring and the free-node predicates.
+"""Local clusters on the percolated ring and the ring occupancy.
 
 The local cluster of v is the contiguous arc reachable from v over retained
 ring edges; the L-truncated variant follows at most L retained ring edges in
-each direction.  Free-node predicates ask whether a candidate node is far
-enough along the ring from everything already touched for its truncated
-cluster to be guaranteed collision-free.
+each direction.  The visits ask a `RingOccupancy` whether a candidate node
+is far enough along the ring from everything already touched for its
+truncated cluster to be guaranteed collision-free.
 """
 
 from __future__ import annotations
@@ -94,24 +94,6 @@ class RingOccupancy:
 
     def __len__(self) -> int:
         return len(self.pos)
-
-
-def is_free(g, x: int, X, L: int) -> bool:
-    """True iff x is at ring distance >= L+1 from every node of X,
-    measured on the un-percolated cycle."""
-    n = g.n
-    return all(ring_distance(n, x, y) >= L + 1 for y in X)
-
-
-def is_free_parallel(g, x: int, X, A, L: int) -> bool:
-    """Freeness for the parallel visit: x in X must be at ring distance
-    >= L+1 from every node of A and >= 2L+1 from every other node of X."""
-    if x not in X:
-        raise ValueError("x must belong to X")
-    n = g.n
-    if any(ring_distance(n, x, a) < L + 1 for a in A):
-        return False
-    return all(ring_distance(n, x, y) >= 2 * L + 1 for y in X if y != x)
 
 
 # ---------------------------------------------------------------------------

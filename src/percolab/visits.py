@@ -46,8 +46,9 @@ class VisitConfig:
     beta_prime: float = 25.0
 
     def __post_init__(self):
-        if self.L < 1 or self.k < 1 or self.beta <= 0 or self.beta_prime <= 0:
-            raise ValueError("visit parameters must be positive")
+        if not (self.L >= 1 and self.k >= 1 and 0 < self.beta < math.inf
+                and 0 < self.beta_prime < math.inf):
+            raise ValueError("visit parameters must be positive (beta and beta' finite)")
 
     def queue_threshold(self, n: int) -> int:
         return max(1, math.ceil(self.beta * math.log(n)))
@@ -79,13 +80,21 @@ class VisitTrace:
         return len(self.final_q) + len(self.final_r)
 
 
-def _initial_sets(I0, D0=()) -> tuple:
-    """(I0, D0) as sets, checked: I0 nonempty and disjoint from D0."""
+def _check_node(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"node {v} outside [0, {n})")
+
+
+def _initial_sets(n: int, I0, D0=()) -> tuple:
+    """(I0, D0) as sets, checked: nodes of [0, n), I0 nonempty and disjoint
+    from D0."""
     I0, D0 = set(I0), set(D0)
     if not I0:
         raise ValueError("need a nonempty initiator set")
     if I0 & D0:
         raise ValueError("I0 and D0 must be disjoint")
+    for v in I0 | D0:
+        _check_node(n, v)
     return I0, D0
 
 
@@ -181,7 +190,7 @@ class _SequentialEngine(_Engine):
 def sequential_l_visit(g, gp, I0, D0, cfg: VisitConfig,
                        cap: Optional[int] = None) -> VisitTrace:
     """FIFO sequential L-visit from initiators I0 with pre-deleted D0."""
-    eng = _SequentialEngine(g, gp, *_initial_sets(I0, D0), cfg)
+    eng = _SequentialEngine(g, gp, *_initial_sets(g.n, I0, D0), cfg)
     return eng.trace(eng.run(cap))
 
 
@@ -241,7 +250,7 @@ def _hand_off(eng: _SequentialEngine) -> _ParallelEngine:
 def parallel_l_visit(g, gp, I0, D0, cfg: VisitConfig,
                      cap: Optional[int] = None) -> VisitTrace:
     """Round-synchronous L-visit; each outer round advances one hop level."""
-    I0, D0 = _initial_sets(I0, D0)
+    I0, D0 = _initial_sets(g.n, I0, D0)
     if len(D0) > math.log(max(g.n, 2)) ** 4:
         warnings.warn("deleted set larger than log^4 n; growth guarantees may not apply")
     eng = _ParallelEngine(g, gp, I0, D0, cfg)
@@ -255,7 +264,7 @@ def parallel_l_visit(g, gp, I0, D0, cfg: VisitConfig,
 def union_l_visit(g, gp, I0, cfg: VisitConfig) -> VisitTrace:
     """Sequential phase until Q empties or |Q| >= beta*ln n, then a parallel
     phase until Q empties.  The trace marks the phase-switch round."""
-    eng = _SequentialEngine(g, gp, _initial_sets(I0)[0], set(), cfg)
+    eng = _SequentialEngine(g, gp, _initial_sets(g.n, I0)[0], set(), cfg)
     reason = eng.run(stop_queue_threshold=cfg.queue_threshold(g.n))
     if reason == QUEUE_EMPTY:
         return eng.trace(reason)
@@ -367,7 +376,7 @@ def sequential_l_visit_matching(g, gp, I0, D0, cfg: VisitConfig,
     """Four-case sequential visit for graphs whose bridges form a matching."""
     if g.model_tag != "matching":
         raise ValueError("matching visit requires a matching-bridge graph")
-    I0, D0 = _initial_sets(I0, D0)
+    I0, D0 = _initial_sets(g.n, I0, D0)
     if len(D0) > math.log(max(g.n, 2)) ** 4:
         warnings.warn("deleted set larger than log^4 n; growth guarantees may not apply")
     eng = _MatchingEngine(g, gp, I0, D0, cfg)
@@ -398,6 +407,7 @@ def plain_bfs(gp: PercolationGraph, s: int, flavor: str = "neighbor") -> VisitTr
     """
     if flavor not in ("neighbor", "cluster"):
         raise ValueError(f"unknown flavor: {flavor}")
+    _check_node(gp.n, s)
     adj = gp.retained_bridge_adjacency()
     if flavor == "neighbor":
         n, ring = gp.n, gp.ring_active

@@ -2,14 +2,17 @@
 
 These are the straightforward per-line and per-node versions that the
 array-based code in `percolab` replaced: a line-by-line edge-file parser,
-list-of-lists adjacency, the eager list of component sets, and the
-set-based epidemic simulator.
+list-of-lists adjacency, the eager list of component sets, the set-based
+epidemic simulator, the all-pairs freeness predicates of the visits and
+the compound-law population that dominates a visit's queue.
 """
 
 import numpy as np
 
+from percolab.branching import CompoundZeta
 from percolab.epidemic import EpidemicTrace
 from percolab.graphs import GenericGraph, SmallWorldGraph, component_labels
+from percolab.local_clusters import ring_distance
 
 
 def list_adjacency(n, u, v):
@@ -141,3 +144,32 @@ def simulate_sets(g, I0, cfg, rng, max_steps=None):
     truncated = bool(infectious_age or exposed)
     recovered |= set(infectious_age) | set(exposed)
     return EpidemicTrace(counts, recovered, t, truncated)
+
+
+def is_free(n, x, X, L):
+    """True iff x is at ring distance >= L+1 from every node of X on the
+    un-percolated n-cycle."""
+    return all(ring_distance(n, x, y) >= L + 1 for y in X)
+
+
+def is_free_parallel(n, x, X, A, L):
+    """Freeness for the parallel visit: x in X must be at ring distance
+    >= L+1 from every node of A and >= 2L+1 from every other node of X."""
+    if x not in X:
+        raise ValueError("x must belong to X")
+    if any(ring_distance(n, x, a) < L + 1 for a in A):
+        return False
+    return all(ring_distance(n, x, y) >= 2 * L + 1 for y in X if y != x)
+
+
+def gw_upper_population(n, p, c, t, rng):
+    """Total population sum_{i<=t} W_i of t i.i.d. compound draws.
+
+    This dominates the number of nodes a truncated visit can enqueue in t
+    rounds, so its tail upper-bounds the visit-queue tail.
+    """
+    if t < 0:
+        raise ValueError("need t >= 0")
+    if p == 0.0 or t == 0:
+        return 0
+    return int(CompoundZeta(n, p, c).sample_many(rng, t).sum())

@@ -10,11 +10,12 @@ from percolab.branching import (
     GeometricCutoff,
     SurvivalEstimate,
     extinction_probability,
-    gw_upper_population,
     run_gw,
     survival_probability,
 )
 from percolab.rng import Seed
+
+from .oracles import gw_upper_population
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,10 @@ def test_compound_zeta_validation():
         CompoundZeta(10, 1.0, 1.0)
     with pytest.raises(ValueError):
         CompoundZeta(2, 0.9, 4.0)  # pc/n > 1
+    # with p = 0 an infinite c would make theta = 0 * inf = nan
+    for p, c in ((0.3, float("nan")), (0.0, float("inf")), (0.3, 0.0)):
+        with pytest.raises(ValueError, match="finite c > 0"):
+            CompoundZeta(100, p, c)
 
 
 def test_geometric_cutoff_sampler_matches_pmf():
@@ -147,6 +152,15 @@ def test_survival_matches_fixed_point_oracle():
     sigma = math.sqrt(target * (1 - target) / trials)
     assert abs(est.fraction - target) < 3 * sigma
     assert est.low < target < est.high
+
+
+def test_survival_validation():
+    law = Binomial(3, 0.4)
+    for b0, horizon, match in ((0, 10, "b0"), (-1, 10, "b0"), (1, -1, "horizon")):
+        with pytest.raises(ValueError, match=match):
+            survival_probability(law, b0, horizon, 10, Seed(0).generator())
+    # horizon 0 is the initial population itself: every trial survives
+    assert survival_probability(law, 1, 0, 10, Seed(0).generator()).fraction == 1.0
 
 
 def test_subcritical_survival_vanishes():

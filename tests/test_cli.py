@@ -19,6 +19,7 @@ def _read(path):
 
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "six.edges")
+RING = os.path.join(os.path.dirname(__file__), "..", "fixtures", "ring8.edges")
 
 
 def test_generate_writes_loadable_graph(runner, tmp_path):
@@ -248,6 +249,19 @@ _SEEDED_SCALING = _SCALING + ["--trials", "2", "--seed", "1"]
             "--incubation", "uniform:2", "--seed", "1"], "incubation"),
     (None, ["epidemic", "--graph", FIXTURE, "--p", "0.5", "--process", "seir",
             "--incubation", "fixed:x", "--seed", "1"], "incubation"),
+    (None, ["epidemic", "--graph", FIXTURE, "--p", "0.5", "--process", "seir",
+            "--incubation", "fixed:-2", "--seed", "1"], "integer h >= 0"),
+    (None, ["epidemic", "--graph", FIXTURE, "--p", "0.5", "--process", "seir",
+            "--incubation", "geometric:0", "--seed", "1"], "0 < q <= 1"),
+    (None, ["visit", "--graph", RING, "--algorithm", "bfs", "--p-local", "0.5",
+            "-L", "0", "--seed", "1"], "visit parameters"),
+    (None, ["visit", "--graph", RING, "--algorithm", "bfs", "--p-local", "0.5",
+            "--source", "999", "--seed", "1"], "outside [0, 8)"),
+    (None, ["visit", "--graph", RING, "--algorithm", "union", "--p-local", "0.6",
+            "--source", "-5", "--seed", "1"], "outside [0, 8)"),
+    (None, ["equivalence", "--graph", FIXTURE, "--p", "1.5", "--seed", "1"], "p out of [0,1]"),
+    (None, ["gw", "--law", "binomial:3:0.4", "--b0", "-1", "--seed", "1"], "b0"),
+    (None, ["gw", "--law", "binomial:3:0.4", "--horizon", "-1", "--seed", "1"], "horizon"),
 ])
 def test_parameter_errors_exit_2_with_one_json_object(runner, tmp_path, config, args, message):
     out = tmp_path / "o.csv"

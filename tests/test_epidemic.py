@@ -46,6 +46,10 @@ def test_config_validation():
         EpidemicConfig()
     with pytest.raises(ValueError):
         EpidemicConfig(p=0.5, incubation=("weibull", 2))
+    for incubation in (("fixed", -2), ("fixed", 1.5), ("fixed", "2"), ("geometric", 0.0),
+                       ("geometric", -0.5), ("geometric", 1.5), ("geometric", float("nan"))):
+        with pytest.raises(ValueError, match=f"{incubation[0]} incubation needs"):
+            EpidemicConfig(p=0.5, incubation=incubation)
 
 
 def test_split_probabilities_choose_by_edge_kind():

@@ -92,6 +92,8 @@ def test_erdos_rejects_bad_parameters():
         sample_swg_erdos(2, 1.0, rng)
     with pytest.raises(ValueError):
         sample_swg_erdos(100, -1.0, rng)
+    with pytest.raises(ValueError, match="need c >= 0"):
+        sample_swg_erdos(100, float("nan"), rng)
 
 
 def _all_perfect_matchings(nodes):
@@ -190,6 +192,15 @@ def test_regular_sampler_degrees_and_simplicity():
 def test_regular_rejects_odd_total_degree():
     with pytest.raises(ValueError):
         sample_regular(5, 3, Seed(0).generator())
+
+
+def test_regular_rejects_bad_degree_and_exhausted_retries():
+    for d in (-2, 10):
+        with pytest.raises(ValueError, match="0 <= d < n"):
+            sample_regular(10, d, Seed(0).generator())
+    # a simple 8-regular pairing turns up about once in 10^7 tries
+    with pytest.raises(ValueError, match="no simple 8-regular pairing in 5 tries"):
+        sample_regular(1000, 8, Seed(0).generator(), max_tries=5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from percolab.graphs import (
     sample_swg_erdos,
     sample_swg_matching,
 )
+from percolab.local_clusters import RingOccupancy
 from percolab.rng import Seed
 from percolab.visits import (
     ITERATION_CAP,
@@ -17,6 +18,7 @@ from percolab.visits import (
     REACHED_QUEUE_THRESHOLD,
     VisitConfig,
     VisitTrace,
+    _free_subset,
     parallel_l_visit,
     plain_bfs,
     search_giant_erdos,
@@ -25,6 +27,8 @@ from percolab.visits import (
     sequential_l_visit_matching,
     union_l_visit,
 )
+
+from .oracles import is_free, is_free_parallel
 
 
 def _hand_graph(n, bridges, retained_bridges=None, ring_off=(), tag="erdos:c=1"):
@@ -109,10 +113,58 @@ def test_visit_config_validation():
         VisitConfig(L=0)
     with pytest.raises(ValueError):
         VisitConfig(beta=-1)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="visit parameters"):
+            VisitConfig(beta=value)
+        with pytest.raises(ValueError, match="visit parameters"):
+            VisitConfig(beta_prime=value)
     with pytest.raises(ValueError):
         sequential_l_visit(*_hand_graph(12, []), set(), set(), VisitConfig())
     with pytest.raises(ValueError):
         sequential_l_visit(*_hand_graph(12, []), {1}, {1}, VisitConfig())
+
+
+@pytest.mark.parametrize("visit", [
+    lambda g, gp, s: sequential_l_visit(g, gp, {s}, set(), VisitConfig(L=2)),
+    lambda g, gp, s: parallel_l_visit(g, gp, {s}, set(), VisitConfig(L=2)),
+    lambda g, gp, s: union_l_visit(g, gp, {s}, VisitConfig(L=2)),
+    lambda g, gp, s: plain_bfs(gp, s),
+    lambda g, gp, s: plain_bfs(gp, s, flavor="cluster"),
+])
+@pytest.mark.parametrize("source", [-1, 12, 99])
+def test_visits_reject_a_source_outside_the_graph(visit, source):
+    g, gp = _hand_graph(12, [(0, 6)])
+    with pytest.raises(ValueError, match=r"outside \[0, 12\)"):
+        visit(g, gp, source)
+
+
+def test_visits_reject_deleted_nodes_outside_the_graph():
+    g, gp = _hand_graph(12, [(0, 6)])
+    with pytest.raises(ValueError, match="outside"):
+        sequential_l_visit(g, gp, {0}, {-5}, VisitConfig(L=2))
+    m, mp = _hand_graph(12, [(0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11)],
+                        tag="matching")
+    with pytest.raises(ValueError, match="outside"):
+        sequential_l_visit_matching(m, mp, {12}, set(), VisitConfig(L=2))
+
+
+def test_freeness_matches_the_all_pairs_predicates():
+    # the ring occupancy and the sorted-neighbour scan of _free_subset
+    # against the definitions checked pair by pair.  A visit's occupancy
+    # always holds its initiators; an empty one reports distance n, which
+    # reads "not free" on a ring of n <= L nodes, where the vacuous
+    # definition says free
+    rng = np.random.default_rng(20210331)
+    for _ in range(500):
+        n = int(rng.integers(2, 60))
+        L = int(rng.integers(1, 6))
+        occupied = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)
+        X = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False).tolist())
+        occ = RingOccupancy(n, occupied.tolist())
+        free = _free_subset(n, X, occ, L)
+        assert free == [x for x in X if is_free_parallel(n, x, set(X), occupied.tolist(), L)]
+        for x in range(n):
+            assert (occ.min_distance(x) >= L + 1) == is_free(n, x, occupied.tolist(), L)
 
 
 # ---------------------------------------------------------------------------
