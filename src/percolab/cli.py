@@ -13,9 +13,10 @@ header is None: `generate` writes its own edge file) and then the manifest,
 which gains the keys of `extra`.  A body reports a bad parameter by
 raising ValueError, which the scaffold catches in one place.
 
-Exit codes: 0 success; 2 parameter error, with exactly one JSON object on
-stderr; 3 scientifically-ambiguous result (`extra["flagged"]`, e.g. a
-flagged threshold bracket), after both files are written.
+Exit codes: 0 success; 2 parameter error, click's usage errors included,
+with exactly one JSON object on stderr; 3 scientifically-ambiguous result
+(`extra["flagged"]`, e.g. a flagged threshold bracket), after both files
+are written.
 """
 
 from __future__ import annotations
@@ -196,7 +197,30 @@ def _command(out_default: str, jobs: bool = False):
     return decorate
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group, whose usage errors keep the exit-2 contract: an
+    unknown subcommand, option or choice, a flag text of the wrong type and
+    a missing required option or subcommand exit 2 with one JSON object,
+    not click's usage text; `--help` still prints the help and exits 0.
+    The group parses its own flags in `make_context`, and each
+    subcommand's in `invoke`."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+
+
+# without a subcommand the group fails with "Missing command." rather than
+# printing its help, which a usage error would turn into the JSON message
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Percolation, small-world graph, and epidemic experiments."""
 
@@ -249,10 +273,15 @@ def percolate(p, seed):
 @_command("components.csv")
 def components(p, seed):
     """Percolate and report the connected-component sizes."""
-    comps = graphs.connected_components(_percolate(_load_graph(p["graph_path"]), p, seed))
-    rows = [f"{i},{len(comp)},{min(comp)}" for i, comp in enumerate(comps)]
+    labels, sizes = graphs.component_labels(_percolate(_load_graph(p["graph_path"]), p, seed))
+    # labels are numbered by smallest node, so label k's smallest node is
+    # where the running maximum of the labels first reaches k
+    min_node = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    rank = np.argsort(-sizes, kind="stable")
+    rows = [f"{i},{size},{node}" for i, (size, node)
+            in enumerate(zip(sizes[rank].tolist(), min_node[rank].tolist()))]
     return "component,size,min_node", rows, {
-        "num_components": len(comps), "largest": len(comps[0]) if comps else 0}
+        "num_components": len(sizes), "largest": int(sizes.max(initial=0))}
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +307,8 @@ _VISITS = {
 @click.option("--algorithm", type=click.Choice(list(_VISITS)), required=True)
 @click.option("--p-local", type=float, required=True)
 @click.option("--p-bridge", type=float, default=None)
-@click.option("--source", type=int, default=0, help="Initiator node.")
+@click.option("--source", type=int, default=None,
+              help="Initiator node (default 0); the searches take none.")
 @click.option("--truncation", "-L", "truncation", type=int, default=10)
 @click.option("--density-k", type=int, default=20)
 @click.option("--beta", type=float, default=5.0)
@@ -286,6 +316,11 @@ _VISITS = {
 @_command("visit.csv")
 def visit(p, seed):
     """Percolate and run one of the exploration algorithms."""
+    if p["source"] is not None and p["algorithm"] in ("search", "matching-search"):
+        raise ValueError(f"--algorithm {p['algorithm']} starts from the smallest "
+                         "node outside D and takes no --source")
+    if p["source"] is None:
+        p["source"] = 0  # the manifest records the default, as it always has
     g = _load_graph(p["graph_path"])
     if not isinstance(g, graphs.SmallWorldGraph):
         raise ValueError("visit algorithms require a ring-based graph")

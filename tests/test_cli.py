@@ -5,7 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from percolab.cli import main
-from percolab.graphs import load_edge_list
+from percolab.graphs import load_edge_list, percolate
+from percolab.rng import Seed
+
+from .oracles import connected_components_eager
 
 
 @pytest.fixture
@@ -262,6 +265,21 @@ _SEEDED_SCALING = _SCALING + ["--trials", "2", "--seed", "1"]
     (None, ["equivalence", "--graph", FIXTURE, "--p", "1.5", "--seed", "1"], "p out of [0,1]"),
     (None, ["gw", "--law", "binomial:3:0.4", "--b0", "-1", "--seed", "1"], "b0"),
     (None, ["gw", "--law", "binomial:3:0.4", "--horizon", "-1", "--seed", "1"], "horizon"),
+    # click's own usage errors
+    (None, ["visit", "--graph", RING, "--algorithm", "bfs", "--p-local", "x",
+            "--seed", "1"], "'x' is not a valid float"),
+    (None, ["visit", "--graph", RING, "--algorithm", "dfs", "--p-local", "0.5",
+            "--seed", "1"], "'dfs' is not one of"),
+    (None, ["visit", "--algorithm", "bfs", "--p-local", "0.5", "--seed", "1"],
+     "Missing option '--graph'"),
+    (None, ["visit", "--graph", RING, "--algorithm", "bfs", "--p-local", "0.5",
+            "--frobnicate", "3", "--seed", "1"], "No such option"),
+    (None, ["percolate-all", "--seed", "1"], "No such command"),
+    # the searches start from the smallest node outside D and take no source
+    (None, ["visit", "--graph", RING, "--algorithm", "search", "--p-local", "0.5",
+            "--source", "999", "--seed", "1"], "takes no --source"),
+    ('{"source": 0}', ["visit", "--graph", RING, "--algorithm", "matching-search",
+                       "--p-local", "0.5", "--seed", "1"], "takes no --source"),
 ])
 def test_parameter_errors_exit_2_with_one_json_object(runner, tmp_path, config, args, message):
     out = tmp_path / "o.csv"
@@ -273,6 +291,20 @@ def test_parameter_errors_exit_2_with_one_json_object(runner, tmp_path, config, 
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and message in json.loads(lines[0])["error"]
     assert not out.exists()
+
+
+def test_help_prints_usage_and_exits_0(runner):
+    for args in (["--help"], ["visit", "--help"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0 and res.output.startswith("Usage:"), res.output
+
+
+def test_searches_run_without_a_source_and_record_the_default(runner, tmp_path):
+    out = tmp_path / "v.csv"
+    res = runner.invoke(main, ["visit", "--graph", RING, "--algorithm", "search",
+                               "--p-local", "0.5", "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(_read(str(out) + ".manifest.json"))["params"]["source"] == 0
 
 
 @pytest.mark.parametrize("args", [
@@ -332,3 +364,20 @@ def test_percolate_and_components_commands(runner, tmp_path):
     assert res.exit_code == 0
     manifest = json.loads(_read(str(out2) + ".manifest.json"))
     assert manifest["largest"] >= 1
+
+
+def test_components_rows_list_the_component_sets(runner, tmp_path):
+    g = tmp_path / "g.edges"
+    runner.invoke(main, ["generate", "--model", "swg", "--n", "2000",
+                         "--seed", "1", "--out", str(g)])
+    for p in ("0.3", "0.55", "1"):
+        out = tmp_path / "cc.csv"
+        res = runner.invoke(main, ["components", "--graph", str(g), "--p-local", p,
+                                   "--seed", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        gp = percolate(load_edge_list(g), float(p), float(p), Seed(2).generator())
+        want = connected_components_eager(gp)
+        rows = [f"{i},{len(c)},{min(c)}" for i, c in enumerate(want)]
+        assert _read(out).decode().splitlines()[1:-1] == rows
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert (manifest["num_components"], manifest["largest"]) == (len(want), len(want[0]))

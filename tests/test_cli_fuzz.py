@@ -11,15 +11,19 @@ type.  Every run must end one of two ways:
   seed writes a byte-identical data file;
 - exit 2 with exactly one JSON object among the lines on stderr.
 
-Flag texts on the command line are always of their option's type, and the
-required options are always on the command line: otherwise click itself
-refuses the call with its usage text, before any subcommand runs.
+In the first test, flag texts on the command line are always of their
+option's type, and the required options are always on the command line.
+The second test then spoils one of those: a flag text of the wrong type, a
+value outside an option's choices, or a missing required option.  Click
+refuses such a call before the subcommand runs, and it too must exit 2
+with exactly one JSON object.
 """
 
 import json
 import math
 import os
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -167,6 +171,34 @@ def _invocations(draw, command):
     return flags, config, raw, seed
 
 
+# texts that no integer or float option takes
+_NOT_A_NUMBER = _choice("x", "", "1.2.3", "1e", "0x1f")
+
+
+@st.composite
+def _usage_errors(draw, command):
+    """(flags, config, raw config, None) of one command, with one flag text
+    of the wrong type or outside its choices, or one option that click
+    requires left out."""
+    required, _ = _COMMANDS[command]
+    flags, config, raw, seed = draw(_invocations(command))
+    if seed is not None:
+        flags["seed"] = seed
+    params = {param.name: param for param in main.commands[command].params}
+    numbers = sorted(key for key in set(flags) | {"seed"}
+                     if params[key].type.name in ("integer", "float"))
+    choices = sorted(key for key, param in params.items()
+                     if isinstance(param.type, click.Choice))
+    kind = draw(_choice("type", "missing", *(["choice"] if choices else [])))
+    if kind == "type":
+        flags[draw(st.sampled_from(numbers))] = draw(_NOT_A_NUMBER)
+    elif kind == "choice":
+        flags[draw(st.sampled_from(choices))] = draw(_choice("bogus", "SWG", ""))
+    else:
+        del flags[draw(st.sampled_from(sorted(k for k in required if params[k].required)))]
+    return flags, config, raw, None
+
+
 def _flag_args(flags: dict) -> list:
     args = []
     for key, value in flags.items():
@@ -211,14 +243,8 @@ def _json_objects(stderr: str) -> list:
     return objects
 
 
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                 HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_run_succeeds_reproducibly_or_exits_2_with_one_json_object(
-        tmp_path, graph_files, command, data):
-    flags, config, raw, seed = data.draw(_invocations(command))
+def _command_args(tmp_path, graph_files, invocation) -> list:
+    flags, config, raw, seed = invocation
     if "graph_path" in flags:
         flags = dict(flags, graph_path=graph_files[flags["graph_path"]])
     args = _flag_args(flags)
@@ -228,6 +254,17 @@ def test_every_run_succeeds_reproducibly_or_exits_2_with_one_json_object(
         cfg = tmp_path / "cfg.json"
         cfg.write_text(raw if raw is not None else json.dumps(config))
         args += ["--config", str(cfg)]
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_run_succeeds_reproducibly_or_exits_2_with_one_json_object(
+        tmp_path, graph_files, command, data):
+    args = _command_args(tmp_path, graph_files, data.draw(_invocations(command)))
     runner = CliRunner(env={"PERCOLAB_JOBS": "1"})
     first, second = str(tmp_path / "a.out"), str(tmp_path / "b.out")
     for path in (first, second, first + ".manifest.json", second + ".manifest.json"):
@@ -244,3 +281,19 @@ def test_every_run_succeeds_reproducibly_or_exits_2_with_one_json_object(
     assert rerun.exit_code == res.exit_code
     with open(first, "rb") as a, open(second, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_click_usage_errors_exit_2_with_one_json_object(tmp_path, graph_files, command, data):
+    args = _command_args(tmp_path, graph_files, data.draw(_usage_errors(command)))
+    out = str(tmp_path / "a.out")
+    if os.path.exists(out):
+        os.remove(out)
+    res = _run(CliRunner(env={"PERCOLAB_JOBS": "1"}), command, args, out)
+    assert res.exit_code == 2, res.output
+    assert len(_json_objects(res.stderr)) == 1, res.stderr
+    assert not os.path.exists(out)

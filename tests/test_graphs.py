@@ -493,6 +493,115 @@ def test_diameter_singleton_is_zero():
     assert component_diameter(gp, {3}) == 0
 
 
+def _path(*nodes):
+    return list(zip(nodes, nodes[1:]))
+
+
+def _edge_graph(edges):
+    u, v = zip(*(sorted(e) for e in edges))
+    return GenericGraph(max(v) + 1, np.array(u), np.array(v))
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+# cores that stress the chain contraction: (edges, diameter)
+_CHAIN_CASES = {
+    # a 6-hop cycle hanging off branch node 0 of a K4: a loop chain
+    "loop": (_K4 + _path(0, 4, 5, 6, 7, 8, 0), 4),
+    # branch nodes 0 and 1 joined by an edge and by chains of 2 and 5 hops
+    "parallel chains": ([(0, 1)] + _path(0, 2, 1) + _path(0, 3, 4, 5, 6, 1), 3),
+    # a bare 9-cycle (no branch node) with paths of 2 and 3 nodes hanging
+    # at its chain nodes 3 and 7
+    "bare cycle with trees": (_path(*range(9), 0) + _path(3, 9, 10) + _path(7, 11, 12, 13), 9),
+    # loops of 9 and 11 hops at nodes 0 and 1 of a K4: the diameter runs
+    # from the middle of one loop to the middle of the other
+    "ends inside chains": (_K4 + _path(0, *range(4, 12), 0) + _path(1, *range(12, 22), 1), 10),
+    # branch nodes 0 and 1 joined by chains of 3, 4 and 5 hops
+    "theta": (_path(0, 2, 3, 1) + _path(0, 4, 5, 6, 1) + _path(0, 7, 8, 9, 10, 1), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_diameter_on_contracted_chains(case):
+    edges, want = _CHAIN_CASES[case]
+    g = _edge_graph(edges)
+    assert component_diameter(g, range(g.n)) == _apsp_diameter(g, range(g.n)) == want
+
+
+def _core_cases():
+    """Peeled cores of the hand-built chain cases and of the largest
+    components of percolated swg, matching and 3-regular graphs."""
+    rng = Seed(19).generator()
+    cases = [_edge_graph(edges) for edges, _ in _CHAIN_CASES.values()]
+    for _ in range(4):
+        for g in (sample_swg_erdos(400, 1.0, rng), sample_swg_matching(400, rng),
+                  sample_regular(400, 3, rng)):
+            cases.append(percolate(g, 0.6, 0.6, rng))
+    for gp in cases:
+        nodes = np.array(sorted(connected_components(gp)[0]))
+        sub = graphs._subgraph_csr(gp, nodes)
+        core, _, _ = graphs._peel_pendant_trees(sub)
+        if len(core) > 1:
+            yield sub[core][:, core]
+
+
+def test_contracted_sweeps_give_bfs_distances():
+    cores = 0
+    for core in _core_cases():
+        chains = graphs._ChainCore(core)
+        bfs = dijkstra(core, directed=False, unweighted=True)
+        for s in range(core.shape[0]):
+            assert chains.distances(s).tolist() == bfs[s].tolist()
+        cores += 1
+    assert cores >= 15
+
+
+# (model, seed, p, giant diameter, sweeps) of n = 4000 giants, recorded with
+# BFS sweeps on the uncontracted core; the contracted sweeps must take the
+# same sources, so the counts match
+_PINNED_SWEEPS = [
+    ("swg", 1, 0.55, 66, 7), ("swg", 1, 0.7, 38, 18), ("swg", 2, 0.55, 46, 26),
+    ("swg", 2, 0.7, 38, 26), ("swg", 3, 0.55, 51, 20), ("swg", 3, 0.7, 34, 47),
+    ("matching", 1, 0.55, 115, 3), ("matching", 1, 0.7, 51, 33),
+    ("matching", 2, 0.55, 106, 9), ("matching", 2, 0.7, 49, 39),
+    ("matching", 3, 0.55, 119, 5), ("matching", 3, 0.7, 47, 42),
+]
+
+
+def test_diameter_sweep_counts_are_pinned(monkeypatch):
+    sweeps = []
+    real = graphs._dijkstra
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_dijkstra", counted)
+    got = []
+    for model, seed, p, _, _ in _PINNED_SWEEPS:
+        rng = Seed(seed).generator()
+        g = sample_swg_erdos(4000, 1.0, rng) if model == "swg" else sample_swg_matching(4000, rng)
+        gp = percolate(g, p, p, rng)
+        sweeps.clear()
+        diam = component_diameter(gp, connected_components(gp)[0])
+        got.append((model, seed, p, diam, len(sweeps)))
+    assert got == _PINNED_SWEEPS
+
+
+def test_components_view_reads_the_largest_under_ties():
+    # sizes 2, 2, 1, 2, 1 in smallest-node order: three components tie
+    g = GenericGraph(8, np.array([0, 2, 5]), np.array([1, 3, 6]))
+    comps = connected_components(g)
+    assert comps[0] == {0, 1} and comps[-len(comps)] == {0, 1}
+    assert comps[-1] == {7} and comps[1] == {2, 3} and comps[2] == {5, 6}
+    for gp in _component_cases():
+        want = connected_components_eager(gp)
+        assert connected_components(gp) == want
+        comps = connected_components(gp)
+        assert comps[0] == want[0] and comps[-len(want)] == want[0]
+        assert comps == want
+
+
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------
