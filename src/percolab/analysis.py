@@ -3,9 +3,10 @@ bracket them at finite n.
 
 The closed forms are exact; the Monte Carlo side classifies a probe
 probability as supercritical when the median largest-component fraction
-reaches theta, and subcritical when the median largest component stays below
-beta * ln n.  Both constants are finite-size engineering choices and are
-recorded in every result.
+reaches theta = GIANT_FRACTION_THETA, and subcritical when the median largest
+component stays below beta * ln n with beta = MAX_COMP_LOG_BETA.  Both
+constants are finite-size engineering choices and are recorded in every
+result.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def _largest_component_size(model: ModelSpec, n: int, p: float,
 def _pool_map(fn, args, jobs: int) -> list:
     if jobs <= 1 or len(args) <= 1:
         return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit, so ask for
+    # no more than there are calls
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
         return list(pool.map(fn, *zip(*args)))
 
 
@@ -188,34 +191,28 @@ class ThresholdEstimate:
         return 0.5 * (self.p_low + self.p_high)
 
 
-def classify_median(median_largest: float, n: int,
-                    theta: float = GIANT_FRACTION_THETA,
-                    beta: float = MAX_COMP_LOG_BETA) -> str:
-    if median_largest >= theta * n:
+def classify_median(median_largest: float, n: int) -> str:
+    if median_largest >= GIANT_FRACTION_THETA * n:
         return SUPER
-    if median_largest <= beta * math.log(n):
+    if median_largest <= MAX_COMP_LOG_BETA * math.log(n):
         return SUB
     return AMBIGUOUS
 
 
 def probe_point(model: ModelSpec, n: int, p: float, trials: int,
-                seed: rngmod.Seed, jobs: int = 1,
-                theta: float = GIANT_FRACTION_THETA,
-                beta: float = MAX_COMP_LOG_BETA) -> ProbeResult:
+                seed: rngmod.Seed, jobs: int = 1) -> ProbeResult:
     """Classify one probe probability from `trials` independent samples."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     args = [(model, n, p, rngmod.derive(seed, i)) for i in range(trials)]
     sizes = _pool_map(_largest_component_size, args, jobs)
     med = float(np.median(sizes))
-    return ProbeResult(p, med, classify_median(med, n, theta, beta))
+    return ProbeResult(p, med, classify_median(med, n))
 
 
 def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
                        bracket_tolerance: float, seed: rngmod.Seed,
-                       jobs: int = 1,
-                       theta: float = GIANT_FRACTION_THETA,
-                       beta: float = MAX_COMP_LOG_BETA) -> ThresholdEstimate:
+                       jobs: int = 1) -> ThresholdEstimate:
     """Bisection bracket of the critical probe probability.
 
     p=0 and p=1 are taken as subcritical/supercritical anchors without
@@ -240,8 +237,7 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
     while hi - lo > bracket_tolerance:
         mid = 0.5 * (lo + hi)
         res = probe_point(model, n, mid, trials_per_point,
-                         rngmod.derive(seed, 1000 + probe_idx), jobs,
-                         theta, beta)
+                         rngmod.derive(seed, 1000 + probe_idx), jobs)
         probe_idx += 1
         probes.append(res)
         if res.classification == SUPER:
@@ -250,7 +246,8 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
             if res.classification == AMBIGUOUS:
                 flagged = True
             lo = mid
-    stat = f"GiantFraction(theta={theta})/MaxCompOverLogN(beta={beta})"
+    stat = (f"GiantFraction(theta={GIANT_FRACTION_THETA})/"
+            f"MaxCompOverLogN(beta={MAX_COMP_LOG_BETA})")
     notes = ""
     if flagged:
         ambig = [r.p for r in probes if r.classification == AMBIGUOUS]

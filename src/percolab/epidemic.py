@@ -16,7 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import GenericGraph, PercolationGraph, bfs_order, percolate
+from .graphs import (
+    GenericGraph,
+    PercolationGraph,
+    bfs_order,
+    component_labels,
+    percolate,
+    percolate_coupled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +128,21 @@ class EpidemicTrace:
 # core simulator
 # ---------------------------------------------------------------------------
 
-def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
-              max_steps: Optional[int] = None) -> EpidemicTrace:
-    n = g.n
+def _initial_nodes(g, I0) -> list:
+    """The distinct initially-infectious nodes, sorted; refuses an empty set
+    and nodes outside [0, n)."""
     I0 = sorted(set(I0))
     if not I0:
         raise ValueError("need a nonempty initially-infectious set")
-    if I0[0] < 0 or I0[-1] >= n:
+    if I0[0] < 0 or I0[-1] >= g.n:
         raise ValueError("initial nodes out of range")
+    return I0
+
+
+def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
+              max_steps: Optional[int] = None) -> EpidemicTrace:
+    n = g.n
+    I0 = _initial_nodes(g, I0)
     ring = not isinstance(g, GenericGraph)
     adj = g.bridge_adjacency() if ring else g.adjacency()
     indptr, indices = adj.indptr, adj.indices
@@ -236,58 +250,31 @@ def run_seir(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
 
     Incubation draws come from a separately spawned stream, so the edge
     randomness (and hence the final reached set) is identical to the plain
-    run with the same seed.
+    run with the same seed.  A config without an incubation law is refused.
     """
+    if cfg.incubation is None:
+        raise ValueError("seir requires an incubation law")
     if cfg.k_attempts != 1:
         raise ValueError("incubation run requires k_attempts=1")
     return _simulate(g, I0, cfg, rng, max_steps)
 
 
 def run_rf_coupled(g, I0, p_values, rng: np.random.Generator) -> list:
-    """Monotone coupling across transmission probabilities.
+    """Monotone coupling of single-shot (Reed-Frost) runs across
+    transmission probabilities, read off coupled bond percolation.
 
-    Each undirected edge is attempted at most once in a single-shot
-    realization, so one shared uniform per edge reproduces the percolation
-    coupling: the edge fires at every p above its uniform.  The reached
-    sets are therefore nested along sorted p.  Returns the list of final
-    recovered sets in the order of p_values.
+    A single-shot SIR run from I0 at probability p reaches exactly the
+    union of I0's components in g percolated at p (Grassberger 1983;
+    Newman 2002), each edge tried at most once.  So one
+    `percolate_coupled` draw serves every p, and the reached sets are
+    nested along sorted p because the retained edge sets are.  Returns the
+    list of final recovered sets in the order of p_values.
     """
-    n = g.n
-    I0 = set(I0)
-    if not I0:
-        raise ValueError("need a nonempty initially-infectious set")
-    uniforms: dict = {}
-
-    def coin(u, v, t):
-        key = (min(u, v), max(u, v))
-        if key not in uniforms:
-            uniforms[key] = rng.random()
-        return uniforms[key]
-
-    if isinstance(g, GenericGraph):
-        adj = g.adjacency()
-        nbr = lambda u: adj[u]
-    else:
-        bridge_adj = g.bridge_adjacency()
-        nbr = lambda u: [(u - 1) % n, (u + 1) % n] + list(bridge_adj[u])
-
+    I0 = _initial_nodes(g, I0)
     results = []
-    for p in p_values:
-        susceptible = set(range(n)) - I0
-        infectious = set(I0)
-        recovered: set = set()
-        t = 0
-        while infectious and t < 2 * n + 10:
-            t += 1
-            newly = set()
-            for u in sorted(infectious):
-                for v in nbr(u):
-                    if v in susceptible and coin(u, v, t) < p:
-                        newly.add(v)
-            susceptible -= newly
-            recovered |= infectious
-            infectious = newly
-        results.append(recovered | infectious)
+    for gp in percolate_coupled(g, [(p, p) for p in p_values], rng):
+        labels, _ = component_labels(gp)
+        results.append(set(np.flatnonzero(np.isin(labels, labels[I0])).tolist()))
     return results
 
 

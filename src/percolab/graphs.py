@@ -121,13 +121,6 @@ class GenericGraph:
     def __post_init__(self):
         _check_edge_arrays(self.n, self.edge_u, self.edge_v, "edge")
 
-    @property
-    def max_degree(self) -> int:
-        if len(self.edge_u) == 0:
-            return 0
-        counts = np.bincount(np.concatenate([self.edge_u, self.edge_v]), minlength=self.n)
-        return int(counts.max())
-
     def adjacency(self) -> Adjacency:
         """Per-node sorted neighbours, built on first use and cached."""
         if self._adj is None:
@@ -186,12 +179,6 @@ class PercolationGraph:
                 us, vs = self.base.edge_u, self.base.edge_v
             self._adj = _csr(self.n, us[self.bridge_active], vs[self.bridge_active])
         return self._adj
-
-    def ring_edge_active(self, i: int) -> bool:
-        """Whether ring edge {i, (i+1) mod n} survived."""
-        if self.ring_active is None:
-            raise ValueError("not a ring-based percolation graph")
-        return bool(self.ring_active[i % self.n])
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +281,13 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
             continue
         u = np.minimum(a, b)
         v = np.maximum(a, b)
+        # one sort of the pair keys gives the edge order and puts any
+        # multi-edge's copies side by side
         keys = u * n + v
-        if len(np.unique(keys)) != len(keys):
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
             continue
-        order = np.lexsort((v, u))
         return GenericGraph(n, u[order], v[order])
     # a pairing is simple with probability about exp(-(d^2 - 1) / 4)
     raise ValueError(f"no simple {d}-regular pairing in {max_tries} tries; "
@@ -308,35 +298,47 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
 # percolation
 # ---------------------------------------------------------------------------
 
+def _draw(g, rng: np.random.Generator) -> tuple:
+    """The package's one per-edge retention draw: one uniform per ring edge,
+    then one per bridge.  For a GenericGraph the ring part is None and the
+    uniforms are one per edge."""
+    if isinstance(g, SmallWorldGraph):
+        return rng.random(g.n), rng.random(g.num_bridges)
+    return None, rng.random(len(g.edge_u))
+
+
+def _retain(g, uniforms: tuple, p_local: float, p_bridge: float) -> PercolationGraph:
+    if not (0 <= p_local <= 1 and 0 <= p_bridge <= 1):  # also refuses nan
+        raise ValueError("probabilities must be in [0, 1]")
+    # an edge is retained at every probability above its uniform
+    u_ring, u_edge = uniforms
+    if u_ring is None:
+        return PercolationGraph(g, None, u_edge < p_local, p_local, p_local)
+    return PercolationGraph(g, u_ring < p_local, u_edge < p_bridge, p_local, p_bridge)
+
+
 def percolate(g, p_local: float, p_bridge: float,
               rng: np.random.Generator) -> PercolationGraph:
     """Keep each ring edge independently w.p. p_local and each bridge w.p.
     p_bridge.  For a GenericGraph, p_local applies to every edge and
-    p_bridge is ignored.  The base graph is not modified."""
-    if not (0 <= p_local <= 1 and 0 <= p_bridge <= 1):
-        raise ValueError("probabilities must be in [0, 1]")
-    if isinstance(g, SmallWorldGraph):
-        ring = rng.random(g.n) < p_local
-        bridge = rng.random(g.num_bridges) < p_bridge
-        return PercolationGraph(g, ring, bridge, p_local, p_bridge)
-    mask = rng.random(len(g.edge_u)) < p_local
-    return PercolationGraph(g, None, mask, p_local, p_local)
+    p_bridge is ignored.  The base graph is not modified.
+
+    This is the one-pair case of `percolate_coupled`: it consumes the same
+    uniforms and returns the same masks."""
+    return _retain(g, _draw(g, rng), p_local, p_bridge)
 
 
 def percolate_coupled(g, p_pairs: Sequence[tuple],
                       rng: np.random.Generator) -> list:
-    """Percolate once per (p_local, p_bridge) pair reusing one uniform per
-    edge, so retained edge sets are nested whenever both probabilities are
-    ordered.  Used for monotonicity checks."""
-    if isinstance(g, SmallWorldGraph):
-        u_ring = rng.random(g.n)
-        u_bridge = rng.random(g.num_bridges)
-        return [
-            PercolationGraph(g, u_ring < pl, u_bridge < pb, pl, pb)
-            for pl, pb in p_pairs
-        ]
-    u_edge = rng.random(len(g.edge_u))
-    return [PercolationGraph(g, None, u_edge < pl, pl, pl) for pl, pb in p_pairs]
+    """Percolate once per (p_local, p_bridge) pair from one draw.
+
+    The draw is the package's only per-edge retention draw: one uniform per
+    ring edge, then one per bridge (one per edge of a GenericGraph), and an
+    edge is retained at every probability above its uniform.  So the
+    retained edge sets are nested whenever the pairs are ordered in both
+    probabilities, and each pair alone is distributed as `percolate`."""
+    uniforms = _draw(g, rng)
+    return [_retain(g, uniforms, pl, pb) for pl, pb in p_pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from percolab import analysis
 from percolab.analysis import (
     AMBIGUOUS,
     SUB,
@@ -104,6 +105,35 @@ def test_probe_point_extremes():
     assert high.classification == SUPER
     low = probe_point(spec, 2000, 0.05, 5, Seed(2))
     assert low.classification == SUB
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that records max_workers and runs
+    the calls in this process."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_asks_for_no_more_workers_than_calls(monkeypatch):
+    spec = ModelSpec("swg", c=1.0)
+    serial = probe_point(spec, 2000, 0.5, 3, Seed(4))
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    assert probe_point(spec, 2000, 0.5, 3, Seed(4), jobs=64) == serial
+    probe_point(spec, 2000, 0.5, 5, Seed(4), jobs=2)
+    assert _InlinePool.requested == [3, 2]
 
 
 def test_cycle_model_largest_component_law():

@@ -19,6 +19,7 @@ from percolab.epidemic import (
 )
 from percolab.graphs import (
     GenericGraph,
+    SmallWorldGraph,
     percolate,
     sample_regular,
     sample_swg_erdos,
@@ -161,6 +162,11 @@ def test_seir_zero_incubation_identical_to_single_shot():
         assert a.counts == b.counts
 
 
+def test_seir_refuses_a_config_without_incubation():
+    with pytest.raises(ValueError, match="incubation"):
+        run_seir(fixture_graph(), {0}, EpidemicConfig(p=0.5), Seed(0).generator())
+
+
 def test_seir_path_hand_trace():
     # 3-edge path, certain transmission, 2-step incubation: each hop costs
     # 1 transmission step + 2 incubation steps; the last node turns
@@ -204,6 +210,21 @@ def test_coupled_runs_are_monotone_in_p():
     for _ in range(300):
         low, mid, high = run_rf_coupled(g, {0}, [0.2, 0.5, 0.8], rng)
         assert low <= mid <= high
+
+
+def test_coupled_run_matches_enumeration_with_a_bridge_on_a_ring_edge():
+    # the bridge {0, 1} duplicates a ring edge; each copy has its own coin
+    g = SmallWorldGraph(4, np.array([0]), np.array([1]), "erdos:c=1")
+    cfg = EpidemicConfig(p=0.5)
+    rng = Seed(12).generator()
+    law = Counter(len(run_rf_coupled(g, {0}, [0.5], rng)[0]) for _ in range(40_000))
+    assert total_variation(law, exact_final_size_law(g, {0}, cfg)) <= 0.01
+
+
+def test_coupled_run_refuses_initial_nodes_out_of_range():
+    for i0 in ({6}, {-1}, {0, 6}):
+        with pytest.raises(ValueError, match="out of range"):
+            run_rf_coupled(fixture_graph(), i0, [0.5], Seed(0).generator())
 
 
 def test_reachability_law_trivial_probabilities():

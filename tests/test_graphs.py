@@ -236,6 +236,32 @@ def test_coupled_percolation_is_monotone():
         assert (mid.bridge_active <= high.bridge_active).all()
 
 
+def test_percolate_is_the_one_pair_case_of_the_coupled_draw():
+    rng = Seed(12).generator()
+    graphs = [sample_swg_erdos(500, 2.0, rng), sample_swg_matching(500, rng),
+              sample_regular(500, 3, rng)]
+    for g in graphs:
+        for seed, (pl, pb) in enumerate([(0.3, 0.7), (0.0, 1.0), (1.0, 0.5), (0.55, 0.55)]):
+            a_rng, b_rng = Seed(seed).generator(), Seed(seed).generator()
+            a = percolate(g, pl, pb, a_rng)
+            (b,) = percolate_coupled(g, [(pl, pb)], b_rng)
+            if a.ring_active is None:
+                assert b.ring_active is None
+            else:
+                assert np.array_equal(a.ring_active, b.ring_active)
+            assert np.array_equal(a.bridge_active, b.bridge_active)
+            assert (a.p_local, a.p_bridge) == (b.p_local, b.p_bridge)
+            assert a_rng.random() == b_rng.random()  # same uniforms consumed
+
+
+def test_coupled_percolation_refuses_probabilities_outside_the_unit_interval():
+    g = sample_swg_erdos(200, 1.0, Seed(13).generator())
+    for bad in (1.5, -0.1, float("nan")):
+        for pairs in ([(bad, 0.5)], [(0.5, 0.5), (0.5, bad)]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                percolate_coupled(g, pairs, Seed(0).generator())
+
+
 # ---------------------------------------------------------------------------
 # components and diameter
 # ---------------------------------------------------------------------------
