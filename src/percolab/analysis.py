@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
 from .graphs import (
-    SmallWorldGraph,
     component_diameter,
     component_labels,
     connected_components,
@@ -31,7 +30,7 @@ from .graphs import (
     sample_swg_matching,
 )
 
-# finite-size classifier constants (see DESIGN notes in the README)
+# finite-size classifier constants (see "Design notes" in the README)
 GIANT_FRACTION_THETA = 0.02
 MAX_COMP_LOG_BETA = 8.0
 DIAMETER_SIZE_CAP = 100_000
@@ -92,8 +91,9 @@ def critical_r0(model: str, c: float = 1.0) -> float:
 class ModelSpec:
     """A samplable graph model plus the meaning of the probe probability.
 
-    name in {"swg", "matching", "cycle", "nonhom", "regular"}; for "nonhom"
-    the probe controls the bridge probability while the ring probability is
+    name in {"swg", "matching", "cycle", "nonhom", "regular"}; "cycle" is
+    the swg model at c = 0 (the bare ring, no draws).  For "nonhom" the
+    probe controls the bridge probability while the ring probability is
     held at p1; all other models percolate every edge at the probe value.
     """
 
@@ -113,28 +113,24 @@ class ModelSpec:
             raise ValueError("regular model requires even n*d")
 
     def sample(self, n: int, rng: np.random.Generator):
-        if self.name in ("swg", "nonhom"):
-            return sample_swg_erdos(n, self.c, rng)
+        if self.name in ("swg", "nonhom", "cycle"):
+            return sample_swg_erdos(n, 0.0 if self.name == "cycle" else self.c, rng)
         if self.name == "matching":
             return sample_swg_matching(n, rng)
-        if self.name == "cycle":
-            return SmallWorldGraph(n, np.empty(0, dtype=np.int64),
-                                   np.empty(0, dtype=np.int64), "erdos:c=0")
         return sample_regular(n, self.d, rng)
 
-    def probe_probs(self, p: float) -> tuple:
-        """(p_local, p_bridge) corresponding to probe value p."""
-        if self.name == "nonhom":
-            return self.p1, p
-        return p, p
+    def percolated(self, n: int, p: float, seed: rngmod.Seed) -> tuple:
+        """(gp, rng): a graph sampled from the seed's stream and percolated
+        at probe value p, and the stream for the trial's further draws."""
+        rng = seed.generator()
+        g = self.sample(n, rng)
+        p_local = self.p1 if self.name == "nonhom" else p
+        return percolate(g, p_local, p, rng), rng
 
 
 def _largest_component_size(model: ModelSpec, n: int, p: float,
                             seed: rngmod.Seed) -> int:
-    rng = seed.generator()
-    g = model.sample(n, rng)
-    pl, pb = model.probe_probs(p)
-    gp = percolate(g, pl, pb, rng)
+    gp, _ = model.percolated(n, p, seed)
     _, sizes = component_labels(gp)
     return int(sizes.max())
 
@@ -272,10 +268,7 @@ class ScalingRow:
 
 def _scaling_trial(model: ModelSpec, n: int, p: float,
                    seed: rngmod.Seed, size_cap: int) -> tuple:
-    rng = seed.generator()
-    g = model.sample(n, rng)
-    pl, pb = model.probe_probs(p)
-    gp = percolate(g, pl, pb, rng)
+    gp, _ = model.percolated(n, p, seed)
     giant = connected_components(gp)[0]
     if len(giant) > size_cap or len(giant) < 2:
         return len(giant), None
@@ -314,10 +307,7 @@ def scaling_study(model: ModelSpec, p: float, n_list, trials: int,
 
 def _survival_trial(model: ModelSpec, n: int, p: float,
                     seed: rngmod.Seed, k: int) -> bool:
-    rng = seed.generator()
-    g = model.sample(n, rng)
-    pl, pb = model.probe_probs(p)
-    gp = percolate(g, pl, pb, rng)
+    gp, rng = model.percolated(n, p, seed)
     s = int(rng.integers(n))
     labels, sizes = component_labels(gp)
     return bool(sizes[labels[s]] >= n // k)

@@ -10,7 +10,7 @@ retained ring edges, so a single W sample has mean pc(1+p)/(1-p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,11 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 class OffspringLaw:
-    """Base class: a nonnegative-integer-valued offspring distribution."""
+    """Base class: a nonnegative-integer-valued offspring distribution.
+
+    A law declares `mean`, `pgf` and one sampler, `sample_many`; `run_gw`
+    draws its single offspring through it as well.
+    """
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -30,11 +34,9 @@ class OffspringLaw:
         """Probability generating function E[s^W] for s in [0, 1]."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.array([self.sample(rng) for _ in range(size)], dtype=np.int64)
+        """`size` i.i.d. draws as an int64 array."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,6 @@ class Binomial(OffspringLaw):
 
     def pgf(self, s: float) -> float:
         return (1 - self.p + self.p * s) ** self.n
-
-    def sample(self, rng) -> int:
-        return int(rng.binomial(self.n, self.p))
 
     def sample_many(self, rng, size) -> np.ndarray:
         return rng.binomial(self.n, self.p, size=size).astype(np.int64)
@@ -85,9 +84,6 @@ class GeometricCutoff(OffspringLaw):
 
     def pgf(self, s: float) -> float:
         return float(np.dot(s ** np.arange(self.L + 1), self.pmf()))
-
-    def sample(self, rng) -> int:
-        return int(self.sample_many(rng, 1)[0])
 
     def sample_many(self, rng, size) -> np.ndarray:
         # inverse CDF on the explicit pmf
@@ -130,19 +126,9 @@ class CompoundZeta(OffspringLaw):
         g_l = (1 - self.p) / (1 - self.p * s)
         return (1 - self.theta + self.theta * s * g_l ** 2) ** self.n
 
-    def sample(self, rng) -> int:
-        y = int(rng.binomial(self.n, self.theta))
-        total = y
-        for _ in range(2 * y):
-            run = 0
-            while rng.random() < self.p:
-                run += 1
-            total += run
-        return total
-
     def sample_many(self, rng, size) -> np.ndarray:
-        # bulk path: sum of 2y geometric(p) variables is NegBin(2y, 1-p)
-        # (numpy's geometric counts trials, i.e. successes+1, hence the shift)
+        # the 2y arcs, each a count of successes before the first failure,
+        # sum to NegBin(2y, 1-p); tests/oracles.py draws them one by one
         ys = rng.binomial(self.n, self.theta, size=size)
         out = ys.astype(np.int64)
         pos = ys > 0
@@ -171,9 +157,6 @@ class Empirical(OffspringLaw):
 
     def pgf(self, s: float) -> float:
         return float(sum(q * s ** v for v, q in self.pmf))
-
-    def sample(self, rng) -> int:
-        return int(self.sample_many(rng, 1)[0])
 
     def sample_many(self, rng, size) -> np.ndarray:
         vals = np.array([v for v, _ in self.pmf], dtype=np.int64)
@@ -217,7 +200,7 @@ def run_gw(law: OffspringLaw, b0: int, max_steps: int,
     total = 0
     ext = None
     for t in range(1, max_steps + 1):
-        w = int(law.sample(rng))
+        w = int(law.sample_many(rng, 1)[0])
         offspring.append(w)
         total += w
         b = b + w - 1

@@ -67,6 +67,7 @@ def _resolve_jobs(jobs) -> int:
         _fail(f"PERCOLAB_JOBS: {exc}")
 
 
+@functools.cache
 def _git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],

@@ -34,8 +34,9 @@ from .graphs import (
 class EpidemicConfig:
     """Transmission and timing parameters.
 
-    Either a uniform `p`, or a split (p_local for ring edges, p_bridge for
-    bridges), or an explicit per-edge map {(u,v): prob} with u < v.
+    Exactly one of: a uniform `p`, a split (p_local for ring edges,
+    p_bridge for bridges, p_local alone for both), or an explicit per-edge
+    map {(u,v): prob} with u < v that covers every edge of the graph.
     Incubation is None (plain SIR), ("fixed", h), or ("geometric", q):
     geometric counts failures before the first success, so its mean is
     (1-q)/q (2 at q = 1/3).
@@ -55,6 +56,13 @@ class EpidemicConfig:
             val = getattr(self, name)
             if val is not None and not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} out of [0,1]: {val}")
+        if self.p_map is not None:
+            for edge, val in self.p_map.items():
+                if not 0.0 <= val <= 1.0:
+                    raise ValueError(f"p_map{edge} out of [0,1]: {val}")
+        split = self.p_local is not None or self.p_bridge is not None
+        if (self.p is not None) + split + (self.p_map is not None) > 1:
+            raise ValueError("set only one of p, p_local/p_bridge and p_map")
         if self.p is None and self.p_local is None and self.p_map is None:
             raise ValueError("no transmission probability configured")
         if self.incubation is not None:
@@ -68,7 +76,10 @@ class EpidemicConfig:
 
     def edge_prob(self, u: int, v: int, kind: str) -> float:
         if self.p_map is not None:
-            return self.p_map[(min(u, v), max(u, v))]
+            edge = (min(u, v), max(u, v))
+            if edge not in self.p_map:
+                raise ValueError(f"p_map has no probability for edge {edge}")
+            return self.p_map[edge]
         if self.p is not None:
             return self.p
         if kind == "B" and self.p_bridge is not None:
@@ -150,6 +161,9 @@ def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
     if max_steps is None:
         max_steps = 2 * n + 10
     p_map = cfg.p_map
+    if p_map is not None:
+        for u, v, kind in g.edges():  # refuse a map that lacks an edge up front
+            cfg.edge_prob(u, v, kind)
     # per-attempt probability by kind bit (0 = B, 1 = R), unless p_map is set
     p_kind = None if p_map is not None else (cfg.edge_prob(0, 1, "B"),
                                              cfg.edge_prob(0, 1, "R"))

@@ -369,7 +369,8 @@ def _ring_arcs(ring: np.ndarray) -> tuple:
 
 def component_labels(gp) -> tuple:
     """(labels, sizes): labels[v] is the component id of v, sizes[k] the
-    size of component k.  Fast path used by the Monte Carlo experiments.
+    size of component k.  `connected_components`, the studies and the
+    coupled SIR all read their components off these labels.
 
     Components are numbered in order of their smallest node, so label k's
     smallest node increases with k.  On a percolated ring-based graph each

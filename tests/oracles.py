@@ -3,8 +3,9 @@
 These are the straightforward per-line and per-node versions that the
 array-based code in `percolab` replaced: a line-by-line edge-file parser,
 list-of-lists adjacency, the eager list of component sets, the set-based
-epidemic simulator, the all-pairs freeness predicates of the visits and
-the compound-law population that dominates a visit's queue.
+epidemic simulator, the all-pairs freeness predicates of the visits, the
+per-arc compound offspring sampler and the compound-law population that
+dominates a visit's queue.
 """
 
 import numpy as np
@@ -160,6 +161,17 @@ def is_free_parallel(n, x, X, A, L):
     if any(ring_distance(n, x, a) < L + 1 for a in A):
         return False
     return all(ring_distance(n, x, y) >= 2 * L + 1 for y in X if y != x)
+
+
+def compound_zeta_per_arc(law, rng):
+    """One draw of the compound law W = Y + sum of 2Y geometric arcs,
+    drawing Y and then each arc one retained ring edge at a time."""
+    y = int(rng.binomial(law.n, law.theta))
+    total = y
+    for _ in range(2 * y):
+        while rng.random() < law.p:
+            total += 1
+    return total
 
 
 def gw_upper_population(n, p, c, t, rng):

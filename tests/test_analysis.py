@@ -216,3 +216,39 @@ def test_survival_from_single_source_supercritical():
     spec = ModelSpec("swg", c=1.0)
     frac = survival_from_single_source(spec, 0.55, 5000, 60, Seed(16))
     assert 0.1 < frac < 0.95
+
+
+# ---------------------------------------------------------------------------
+# pinned study results: every study draws its graph and its percolation from
+# the trial's seed in one fixed order, so a refactor must reproduce these
+# numbers exactly
+# ---------------------------------------------------------------------------
+
+_PINNED_STUDIES = [
+    # model, survival p, probe medians at p = 0.3 and 0.7,
+    # scaling (median size, median diameter) at n = 1024 and 2048, survival
+    (ModelSpec("swg", c=1.0), 0.45, (20.0, 892.0),
+     ((719.0, 38.0), (1464.0, 41.0)), 0.25),
+    (ModelSpec("matching"), 0.55, (15.0, 948.0),
+     ((714.0, 54.0), (1471.0, 77.0)), 0.625),
+    (ModelSpec("cycle"), 0.995, (8.0, 17.0),
+     ((15.0, 14.0), (14.0, 13.0)), 0.9375),
+    (ModelSpec("nonhom", c=1.0, p1=0.5), 0.4, (48.0, 669.0),
+     ((626.0, 37.0), (1146.0, 54.0)), 0.3125),
+    (ModelSpec("regular", d=3), 0.55, (15.0, 943.0),
+     ((772.0, 62.0), (1522.0, 68.0)), 0.6875),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_PINNED_STUDIES)),
+                         ids=[spec.name for spec, *_ in _PINNED_STUDIES])
+def test_study_results_are_pinned(index):
+    spec, surv_p, medians, scaling, survival = _PINNED_STUDIES[index]
+    seed = Seed(7919 + index)
+    probes = [probe_point(spec, 1024, p, 5, seed) for p in (0.3, 0.7)]
+    assert tuple(r.median_largest for r in probes) == medians
+    rows = scaling_study(spec, 0.6, [1024, 2048], 3, seed)
+    assert tuple((r.median_max_component, r.median_giant_diameter)
+                 for r in rows) == scaling
+    assert not any(r.diameter_skipped for r in rows)
+    assert survival_from_single_source(spec, surv_p, 1024, 16, seed) == survival

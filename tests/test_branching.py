@@ -15,7 +15,7 @@ from percolab.branching import (
 )
 from percolab.rng import Seed
 
-from .oracles import gw_upper_population
+from .oracles import compound_zeta_per_arc, gw_upper_population
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_compound_bulk_and_scalar_samplers_agree_in_law():
     law = CompoundZeta(200, 0.4, 1.5)
     rng = Seed(51).generator()
     bulk = law.sample_many(rng, 40_000)
-    scalar = np.array([law.sample(rng) for _ in range(40_000)])
+    scalar = np.array([compound_zeta_per_arc(law, rng) for _ in range(40_000)])
     hi = max(bulk.max(), scalar.max()) + 1
     pb = np.bincount(bulk, minlength=hi) / len(bulk)
     ps = np.bincount(scalar, minlength=hi) / len(scalar)
@@ -245,3 +245,17 @@ def test_partial_sum_tail_decays():
         tail[t] = float((sums >= (1 + 2 * delta) * law.mean() * t).mean())
     assert tail[160] <= tail[40] <= tail[10] + 0.01
     assert tail[160] < 0.05
+
+
+@pytest.mark.parametrize("law", [Binomial(3, 0.5), GeometricCutoff(0.7, 4),
+                                 CompoundZeta(200, 0.5, 2.0),
+                                 Empirical(((0, 0.3), (2, 0.7)))],
+                         ids=lambda law: type(law).__name__)
+def test_run_gw_replays_with_every_law(law):
+    rng = Seed(57).generator()
+    for _ in range(20):
+        proc = run_gw(law, 2, 100, rng)
+        assert proc.replay_check()
+        assert proc.total_population == sum(proc.offspring)
+        assert all(isinstance(w, int) and w >= 0 for w in proc.offspring)
+        assert len(proc.trajectory) == len(proc.offspring) + 1

@@ -59,6 +59,28 @@ def test_split_probabilities_choose_by_edge_kind():
     assert cfg.edge_prob(0, 5, "B") == 0.9
 
 
+def test_config_refuses_more_than_one_way_to_set_probabilities():
+    for kwargs in ({"p": 0.5, "p_local": 0.0, "p_bridge": 0.0},
+                   {"p": 0.5, "p_bridge": 0.2},
+                   {"p_local": 0.5, "p_map": {(0, 1): 0.5}},
+                   {"p": 0.5, "p_map": {(0, 1): 0.5}}):
+        with pytest.raises(ValueError, match="only one of"):
+            EpidemicConfig(**kwargs)
+
+
+def test_config_refuses_edge_map_values_outside_unit_interval():
+    for val in (7.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"p_map\(0, 1\) out of \[0,1\]"):
+            EpidemicConfig(p_map={(0, 1): val})
+
+
+def test_edge_map_missing_an_edge_names_it():
+    g = fixture_graph()
+    p_map = {(u, v): 0.5 for u, v, _ in g.edges() if (u, v) != (0, 3)}
+    with pytest.raises(ValueError, match=r"no probability for edge \(0, 3\)"):
+        run_rf(g, {0}, EpidemicConfig(p_map=p_map), Seed(0).generator())
+
+
 def test_edge_map_wins():
     cfg = EpidemicConfig(p_map={(0, 1): 0.7})
     assert cfg.edge_prob(1, 0, "R") == 0.7
