@@ -5,6 +5,9 @@ transmit to each susceptible neighbor v with probability p(e) independently.
 Transmission randomness is consumed in a canonical order (round-major, edges
 sorted by endpoints), so traces replay exactly from a seed and the k=1
 multi-attempt process produces bit-identical traces to the single-shot run.
+A step with few infectious nodes finds its new cases node by node; a larger
+one does it with numpy on the CSR arrays, from the same keys and the same
+coins, so the traces do not depend on which step ran.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class EpidemicConfig:
         split = self.p_local is not None or self.p_bridge is not None
         if (self.p is not None) + split + (self.p_map is not None) > 1:
             raise ValueError("set only one of p, p_local/p_bridge and p_map")
+        if self.p_bridge is not None and self.p_local is None:
+            raise ValueError("p_bridge needs p_local, the ring-edge probability")
         if self.p is None and self.p_local is None and self.p_map is None:
             raise ValueError("no transmission probability configured")
         if self.incubation is not None:
@@ -150,13 +155,63 @@ def _initial_nodes(g, I0) -> list:
     return I0
 
 
+# Frontiers of fewer infectious nodes take the per-node step, where numpy's
+# fixed cost per call outweighs the loop (measured in _simulate on n = 2e5
+# swg and matching graphs and the six-node fixture, see CHANGES.md).
+_ARRAY_STEP_MIN = 32
+
+
+def _keys_fit_int64(n: int) -> bool:
+    """True iff every attempt key ((min*n + max)*2 + kind)*2 + direction,
+    which is below 4n^2, fits an int64."""
+    return 4 * n * n <= 2 ** 63
+
+
+def _attempt_keys(u: np.ndarray, v: np.ndarray, n: int, kind_bit: int) -> np.ndarray:
+    """Keys of the attempts u[i] -> v[i], as the per-node step of
+    `_simulate` builds them; `kind_bit` is 0 for bridges (B) and 2 for ring
+    or plain edges (R)."""
+    up = u < v
+    lo = np.where(up, u, v)
+    return (lo * n + (u + v - lo)) * 4 + kind_bit + up
+
+
+def _array_cases(frontier: np.ndarray, n: int, adj, ring: bool, kind_bit: int,
+                 p_kind: tuple, susceptible: np.ndarray,
+                 rng: np.random.Generator) -> list:
+    """This step's new cases, sorted, from the infectious nodes `frontier`:
+    the per-node step of `_simulate` on arrays.  It builds the same attempt
+    keys, sorts them (so the order of `frontier` does not matter), draws one
+    coin per key in key order and marks the cases in `susceptible`."""
+    starts = adj.indptr[frontier]
+    sizes = adj.indptr[frontier + 1] - starts
+    # row positions of every neighbour: each row's start plus its rank in it
+    pos = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    u, v = np.repeat(frontier, sizes), adj.indices[pos]
+    live = susceptible[v] != 0
+    keys = [_attempt_keys(u[live], v[live], n, kind_bit)]
+    if ring:
+        u = np.concatenate([frontier, frontier])
+        v = np.concatenate([(frontier - 1) % n, (frontier + 1) % n])
+        live = susceptible[v] != 0
+        keys.append(_attempt_keys(u[live], v[live], n, 2))
+    keys = np.sort(np.concatenate(keys))
+    if not len(keys):
+        return []
+    pair = keys >> 2
+    targets = np.where(keys & 1, pair % n, pair // n)
+    hit = rng.random(len(keys)) < np.where(keys & 2, p_kind[1], p_kind[0])
+    newly = np.unique(targets[hit])
+    susceptible[newly] = 0
+    return newly.tolist()
+
+
 def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
               max_steps: Optional[int] = None) -> EpidemicTrace:
     n = g.n
     I0 = _initial_nodes(g, I0)
     ring = not isinstance(g, GenericGraph)
     adj = g.bridge_adjacency() if ring else g.adjacency()
-    indptr, indices = adj.indptr, adj.indices
     kind_bit = 0 if ring else 2   # adjacency edges are bridges (B) or plain (R)
     if max_steps is None:
         max_steps = 2 * n + 10
@@ -167,12 +222,16 @@ def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
     # per-attempt probability by kind bit (0 = B, 1 = R), unless p_map is set
     p_kind = None if p_map is not None else (cfg.edge_prob(0, 1, "B"),
                                              cfg.edge_prob(0, 1, "R"))
+    arrays = p_kind is not None and _keys_fit_int64(n)
     inc_rng = None  # spawned lazily so edge randomness matches the plain run
 
     k = cfg.k_attempts
     susceptible = bytearray(b"\x01") * n
     for v in I0:
         susceptible[v] = 0
+    # made on first use: the Python CSR for the per-node step, and the array
+    # view of `susceptible` (which then must not resize) for the array step
+    indptr = indices = susceptible_view = None
     exposed: dict = {}                    # node -> remaining incubation steps
     infectious = dict.fromkeys(I0, 0)     # node -> completed attempts
     reached = list(I0)
@@ -181,33 +240,43 @@ def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
     t = 0
     while (infectious or exposed) and t < max_steps:
         t += 1
-        # transmissions in canonical order: an attempt u -> v along an edge
-        # of kind bit c is keyed ((min*n + max)*2 + c)*2 + [v is the max],
-        # so sorting the keys sorts by edge endpoints, B before R
-        attempts = []
-        for u in sorted(infectious):
-            if ring:
-                for v in ((u - 1) % n, (u + 1) % n):
+        if arrays and len(infectious) >= _ARRAY_STEP_MIN:
+            if susceptible_view is None:
+                susceptible_view = np.frombuffer(susceptible, dtype=np.uint8)
+            frontier = np.fromiter(infectious, dtype=np.int64, count=len(infectious))
+            newly = _array_cases(frontier, n, adj, ring, kind_bit, p_kind,
+                                 susceptible_view, rng)
+        else:
+            if indptr is None:
+                indptr, indices = adj.lists()
+            # transmissions in canonical order: an attempt u -> v along an
+            # edge of kind bit c is keyed ((min*n + max)*2 + c)*2 + [v is the
+            # max], so sorting the keys sorts by edge endpoints, B before R
+            attempts = []
+            for u in sorted(infectious):
+                if ring:
+                    for v in ((u - 1) % n, (u + 1) % n):
+                        if susceptible[v]:
+                            attempts.append((u * n + v) * 4 + 3 if u < v else (v * n + u) * 4 + 2)
+                for v in indices[indptr[u]:indptr[u + 1]]:
                     if susceptible[v]:
-                        attempts.append((u * n + v) * 4 + 3 if u < v else (v * n + u) * 4 + 2)
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if susceptible[v]:
-                    attempts.append((u * n + v) * 4 + 1 + kind_bit if u < v
-                                    else (v * n + u) * 4 + kind_bit)
-        newly = []
-        if attempts:
-            attempts.sort()
-            # one coin per attempt, drawn in attempt order; a node already
-            # infected this round by a lower-sorted edge still uses its coin
-            for key, coin in zip(attempts, rng.random(len(attempts)).tolist()):
-                pair = key >> 2
-                v = pair % n if key & 1 else pair // n
-                if not susceptible[v]:
-                    continue
-                p = p_kind[(key >> 1) & 1] if p_map is None else p_map[divmod(pair, n)]
-                if coin < p:
-                    susceptible[v] = 0
-                    newly.append(v)
+                        attempts.append((u * n + v) * 4 + 1 + kind_bit if u < v
+                                        else (v * n + u) * 4 + kind_bit)
+            newly = []
+            if attempts:
+                attempts.sort()
+                # one coin per attempt, drawn in attempt order; a node already
+                # infected this round by a lower-sorted edge still uses its coin
+                for key, coin in zip(attempts, rng.random(len(attempts)).tolist()):
+                    pair = key >> 2
+                    v = pair % n if key & 1 else pair // n
+                    if not susceptible[v]:
+                        continue
+                    p = p_kind[(key >> 1) & 1] if p_map is None else p_map[divmod(pair, n)]
+                    if coin < p:
+                        susceptible[v] = 0
+                        newly.append(v)
+            newly.sort()
         # state transitions: existing exposed nodes count down first, so a
         # node infected this round waits a full h steps in E
         for v in list(exposed):
@@ -216,7 +285,6 @@ def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
                 del exposed[v]
                 infectious[v] = -1  # becomes age 0 below
         if newly:
-            newly.sort()
             if cfg.incubation is not None and inc_rng is None:
                 inc_rng = rng.spawn(1)[0]
             for v, h in zip(newly, cfg.draw_incubations(inc_rng, len(newly))):

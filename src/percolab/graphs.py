@@ -35,34 +35,47 @@ class Adjacency:
     """Read-only CSR adjacency, a sequence whose item w is the sorted tuple
     of w's neighbours.
 
-    `indptr` and `indices` hold the CSR as plain Python sequences (w's
-    neighbours are indices[indptr[w]:indptr[w + 1]]), so per-node loops
-    index them without numpy scalar overhead.
+    `indptr` and `indices` hold the CSR as int64 arrays (w's neighbours are
+    indices[indptr[w]:indptr[w + 1]]), which array kernels read directly.
+    `lists()` gives the same CSR as a Python list and tuple, built on first
+    use, so per-node loops index it without numpy scalar overhead; `adj[w]`
+    reads from them.
     """
 
-    __slots__ = ("indptr", "indices")
+    __slots__ = ("indptr", "indices", "_lists")
 
-    def __init__(self, indptr: list, indices: tuple):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
+        self._lists = None
+
+    def lists(self) -> tuple:
+        """(indptr, indices) as a Python list and tuple."""
+        if self._lists is None:
+            self._lists = (self.indptr.tolist(), tuple(self.indices.tolist()))
+        return self._lists
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
     def __getitem__(self, w: int) -> tuple:
+        indptr, indices = self._lists or self.lists()
         # indptr[n + 1] raises IndexError, which ends iteration over the nodes
-        return self.indices[self.indptr[w]:self.indptr[w + 1]]
+        return indices[indptr[w]:indptr[w + 1]]
 
 
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
     """Adjacency of the undirected edges (u[k], v[k]) on nodes 0..n-1, each
-    node's neighbours sorted (a multi-edge lists its neighbour twice)."""
-    ends = np.concatenate([u, v])
-    other = np.concatenate([v, u])
-    order = np.lexsort((other, ends))
+    node's neighbours sorted (a multi-edge lists its neighbour twice), as
+    int64 arrays.  One sort of the keys end*n + other orders the rows, so
+    n*n must fit an int64."""
+    if int(n) ** 2 >= 2 ** 63:
+        raise ValueError(f"n = {n} is too large for a CSR adjacency")
+    ends = np.concatenate([u, v]).astype(np.int64, copy=False)
+    keys = np.sort(ends * n + np.concatenate([v, u]))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    return Adjacency(indptr.tolist(), tuple(other[order].tolist()))
+    return Adjacency(indptr, keys % n)
 
 
 @dataclass
@@ -474,7 +487,8 @@ def connected_components(gp) -> Components:
 
 def bfs_order(sources, neighbours) -> tuple:
     """FIFO breadth-first search from the distinct nodes `sources`; the
-    package's one breadth-first search loop.
+    package's one breadth-first search loop in Python (the neighbour
+    flavour of `visits.plain_bfs` runs scipy's on a CSR instead).
 
     `neighbours(w)` gives the nodes adjacent to w in the order they are to
     be queued.  Returns (order, found): order lists every reached node in

@@ -7,8 +7,9 @@ already touched), which keeps the enqueued local clusters disjoint.
 
 Each L-visit is an engine whose `step` runs one round; one stop loop,
 `_Engine.run`, drives every engine and records a per-round trace of
-(|Q|, |R|, |D|) for statistical checks.  Plain BFS runs on the one FIFO
-kernel, `graphs.bfs_order`.
+(|Q|, |R|, |D|) for statistical checks.  Plain BFS runs on scipy's
+`breadth_first_order` over a CSR of the retained edges (neighbour flavour)
+or on the package's FIFO kernel, `graphs.bfs_order` (cluster flavour).
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import repeat
 from typing import Optional
 
-from .graphs import PercolationGraph, SmallWorldGraph, bfs_order
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
+
+from .graphs import PercolationGraph, SmallWorldGraph, _csr, bfs_order
 from .local_clusters import RingOccupancy, local_cluster, truncated_local_cluster
 
 # termination reasons
@@ -397,37 +402,39 @@ def search_giant_matching(g, gp, cfg: VisitConfig) -> VisitTrace:
 # ---------------------------------------------------------------------------
 
 def plain_bfs(gp: PercolationGraph, s: int, flavor: str = "neighbor") -> VisitTrace:
-    """Standard BFS over the percolation graph from s, on `bfs_order`.
+    """Standard FIFO BFS over the percolation graph from s.
 
-    flavor="neighbor" explores retained edges one hop at a time;
+    flavor="neighbor" explores retained edges one hop at a time, queueing
+    each node's neighbours in ascending order; it runs scipy's
+    `breadth_first_order` on a sorted-row CSR of every retained edge.
     flavor="cluster" starts from the local cluster of s and queues, for
-    each dequeued node, the local cluster of each retained-bridge neighbor.
-    Both reach exactly the component of s.  Row i of the trace is
-    (|Q|, |R|, 0) once the (i+1)-th node has left the queue.
+    each dequeued node, the local cluster of each retained-bridge neighbor;
+    it runs on `bfs_order`.  Both reach exactly the component of s.  Row i
+    of the trace is (|Q|, |R|, 0) once the (i+1)-th node has left the queue.
     """
     if flavor not in ("neighbor", "cluster"):
         raise ValueError(f"unknown flavor: {flavor}")
     _check_node(gp.n, s)
-    adj = gp.retained_bridge_adjacency()
     if flavor == "neighbor":
-        n, ring = gp.n, gp.ring_active
         sources = [s]
-
-        def neighbors(w):
-            out = list(adj[w])
-            if ring is not None:
-                if ring[w % n]:
-                    out.append((w + 1) % n)
-                if ring[(w - 1) % n]:
-                    out.append((w - 1) % n)
-            return sorted(out)
+        adj = _csr(gp.n, *gp.active_edge_arrays())
+        graph = csr_matrix((np.ones(len(adj.indices)), adj.indices, adj.indptr),
+                           shape=(gp.n, gp.n))
+        order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
+        # found[i] counts the nodes first reached from order[i], their
+        # predecessor; the source has none
+        rank = np.empty(gp.n, dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        found = np.bincount(rank[pred[order[1:]]], minlength=len(order))
+        order = order.tolist()
     else:
+        adj = gp.retained_bridge_adjacency()
         sources = sorted(local_cluster(gp, s))
 
         def neighbors(w):
             return [y for x in adj[w] for y in sorted(local_cluster(gp, x))]
 
-    order, found = bfs_order(sources, neighbors)
-    rounds = [(len(sources) + reached - i - 1, i + 1, 0)
-              for i, reached in enumerate(accumulate(found))]
+        order, found = bfs_order(sources, neighbors)
+    queued = len(sources) - 1 + np.cumsum(found) - np.arange(len(order))
+    rounds = list(zip(queued.tolist(), range(1, len(order) + 1), repeat(0)))
     return VisitTrace(rounds, set(), set(order), set(), QUEUE_EMPTY)

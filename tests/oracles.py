@@ -3,7 +3,7 @@
 These are the straightforward per-line and per-node versions that the
 array-based code in `percolab` replaced: a line-by-line edge-file parser,
 list-of-lists adjacency, the eager list of component sets, the set-based
-epidemic simulator, the all-pairs freeness predicates of the visits, the
+epidemic simulator, the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness predicates of the visits, the
 per-arc compound offspring sampler and the compound-law population that
 dominates a visit's queue.
 """
@@ -12,8 +12,9 @@ import numpy as np
 
 from percolab.branching import CompoundZeta
 from percolab.epidemic import EpidemicTrace
-from percolab.graphs import GenericGraph, SmallWorldGraph, component_labels
+from percolab.graphs import GenericGraph, SmallWorldGraph, bfs_order, component_labels
 from percolab.local_clusters import ring_distance
+from percolab.visits import QUEUE_EMPTY, VisitTrace
 
 
 def list_adjacency(n, u, v):
@@ -145,6 +146,30 @@ def simulate_sets(g, I0, cfg, rng, max_steps=None):
     truncated = bool(infectious_age or exposed)
     recovered |= set(infectious_age) | set(exposed)
     return EpidemicTrace(counts, recovered, t, truncated)
+
+
+def plain_bfs_neighbor(gp, s):
+    """Neighbour-flavour `plain_bfs` on `bfs_order`: each dequeued node
+    queues its retained bridges and retained ring neighbours in ascending
+    order (a bridge on a ring edge lists that neighbour twice)."""
+    adj = gp.retained_bridge_adjacency()
+    n, ring = gp.n, gp.ring_active
+
+    def neighbors(w):
+        out = list(adj[w])
+        if ring is not None:
+            if ring[w % n]:
+                out.append((w + 1) % n)
+            if ring[(w - 1) % n]:
+                out.append((w - 1) % n)
+        return sorted(out)
+
+    order, found = bfs_order([s], neighbors)
+    rounds, reached = [], 0
+    for i, f in enumerate(found):
+        reached += f
+        rounds.append((reached - i, i + 1, 0))
+    return VisitTrace(rounds, set(), set(order), set(), QUEUE_EMPTY)
 
 
 def is_free(n, x, X, L):

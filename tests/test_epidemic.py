@@ -5,8 +5,10 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from percolab import epidemic
 from percolab.epidemic import (
     EpidemicConfig,
+    _keys_fit_int64,
     _simulate,
     exact_final_size_law,
     fixture_graph,
@@ -51,6 +53,11 @@ def test_config_validation():
                        ("geometric", -0.5), ("geometric", 1.5), ("geometric", float("nan"))):
         with pytest.raises(ValueError, match=f"{incubation[0]} incubation needs"):
             EpidemicConfig(p=0.5, incubation=incubation)
+
+
+def test_config_refuses_a_bridge_probability_without_a_ring_probability():
+    with pytest.raises(ValueError, match="p_bridge needs p_local"):
+        EpidemicConfig(p_bridge=0.3)
 
 
 def test_split_probabilities_choose_by_edge_kind():
@@ -337,6 +344,69 @@ def test_traces_are_bit_identical_to_the_set_based_simulator():
                 assert a.final_recovered == b.final_recovered
                 assert a.stop_time == b.stop_time and not a.truncated and not b.truncated
                 assert a_rng.random() == b_rng.random()  # same coins consumed
+
+
+def _count_array_steps(monkeypatch, crossover=None) -> list:
+    """Set the array step's crossover (if given) and count its calls."""
+    if crossover is not None:
+        monkeypatch.setattr(epidemic, "_ARRAY_STEP_MIN", crossover)
+    calls = []
+    array_cases = epidemic._array_cases
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return array_cases(*args)
+
+    monkeypatch.setattr(epidemic, "_array_cases", counted)
+    return calls
+
+
+def test_array_step_traces_are_bit_identical_to_the_set_based_simulator(monkeypatch):
+    # every step of a config without p_map takes the array step
+    calls = _count_array_steps(monkeypatch, crossover=1)
+    test_traces_are_bit_identical_to_the_set_based_simulator()
+    assert min(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [20210331, 7919])
+def test_both_steps_match_the_set_based_simulator_on_larger_graphs(monkeypatch, seed):
+    calls = _count_array_steps(monkeypatch)
+    rng = Seed(seed).generator()
+    n = 20_000
+    sources = [i * n // 16 for i in range(16)]
+    configs = [EpidemicConfig(p=0.55),
+               EpidemicConfig(p=0.55, incubation=("geometric", 0.5)),
+               EpidemicConfig(p=0.3, k_attempts=3)]
+    for g in (sample_swg_erdos(n, 1.0, rng), sample_swg_matching(n, rng)):
+        for cfg in configs:
+            a_rng, b_rng = Seed(seed).generator(), Seed(seed).generator()
+            a = _simulate(g, sources, cfg, a_rng)
+            b = simulate_sets(g, sources, cfg, b_rng)
+            assert a.counts == b.counts and a.final_recovered == b.final_recovered
+            assert a.stop_time == b.stop_time
+            assert a_rng.random() == b_rng.random()
+            assert 0 < len(calls) < a.stop_time  # both steps ran
+            calls.clear()
+
+
+def test_array_keys_are_refused_where_they_overflow_int64(monkeypatch):
+    # keys are below 4n^2, so 4n^2 <= 2^63 is the bound; 1518500249 is the
+    # largest n within it
+    assert _keys_fit_int64(1518500249) and not _keys_fit_int64(1518500250)
+    assert _keys_fit_int64(2) and not _keys_fit_int64(2 ** 31)
+    # a p_map config, or a graph too large for the keys, runs only the
+    # per-node step
+    calls = _count_array_steps(monkeypatch, crossover=1)
+    g = sample_swg_erdos(200, 2.0, Seed(3).generator())
+    p_map = {(u, v): 0.6 for u, v, _ in g.edges()}
+    for cfg in (EpidemicConfig(p_map=p_map), EpidemicConfig(p=0.6)):
+        if cfg.p_map is None:
+            monkeypatch.setattr(epidemic, "_keys_fit_int64", lambda n: False)
+        a_rng, b_rng = Seed(5).generator(), Seed(5).generator()
+        a = _simulate(g, {0, 100}, cfg, a_rng)
+        b = simulate_sets(g, {0, 100}, cfg, b_rng)
+        assert a.counts == b.counts and a.final_recovered == b.final_recovered
+        assert len(a.counts) > 3 and not calls
 
 
 def test_step_cap_is_recorded_as_truncation():

@@ -876,3 +876,21 @@ def test_adjacency_views_equal_sorted_neighbour_lists():
         assert [list(a) for a in gp.retained_bridge_adjacency()] == want
     assert multi.adjacency()[3] == (0, 0, 2)
     assert isinstance(erdos.bridge_adjacency()[0], tuple)  # read-only
+
+
+def test_adjacency_holds_int64_arrays_and_builds_lists_on_first_use():
+    g = sample_swg_erdos(300, 2.0, Seed(18).generator())
+    small = GenericGraph(4, np.array([0, 1], dtype=np.int32), np.array([3, 2], dtype=np.int32))
+    for adj, want in ((g.bridge_adjacency(), list_adjacency(g.n, g.bridge_u, g.bridge_v)),
+                      (small.adjacency(), [[3], [2], [1], [0]])):
+        assert adj.indptr.dtype == adj.indices.dtype == np.int64
+        assert adj._lists is None  # no Python sequences until one is read
+        rows = [adj.indices[adj.indptr[w]:adj.indptr[w + 1]].tolist() for w in range(len(adj))]
+        assert rows == want
+        assert adj[1] == tuple(want[1])
+        indptr, indices = adj.lists()
+        assert indptr == adj.indptr.tolist() and indices == tuple(adj.indices.tolist())
+    # rows are ordered by one sort of int64 keys end*n + other
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="too large for a CSR"):
+        graphs._csr(3_037_000_500, empty, empty)

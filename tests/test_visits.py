@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from percolab.graphs import (
+    GenericGraph,
     PercolationGraph,
     SmallWorldGraph,
     connected_components,
     percolate,
+    sample_regular,
     sample_swg_erdos,
     sample_swg_matching,
 )
@@ -28,7 +30,7 @@ from percolab.visits import (
     union_l_visit,
 )
 
-from .oracles import is_free, is_free_parallel
+from .oracles import is_free, is_free_parallel, plain_bfs_neighbor
 
 
 def _hand_graph(n, bridges, retained_bridges=None, ring_off=(), tag="erdos:c=1"):
@@ -292,6 +294,28 @@ def test_plain_bfs_flavors_agree_with_components():
         assert (b.final_r | b.final_q) == comp and not b.final_q
     with pytest.raises(ValueError):
         plain_bfs(gp, 0, flavor="depth")
+
+
+def test_neighbor_bfs_matches_the_per_node_oracle_row_for_row():
+    rng = Seed(46).generator()
+    n = 50_000
+    cases = []
+    for g in (sample_swg_erdos(n, 1.0, rng), sample_swg_matching(n, rng)):
+        for p in (1.0, 0.55, 0.3):
+            gp = percolate(g, p, p, rng)
+            cases += [(gp, 0), (gp, int(rng.integers(n)))]
+    # bridges on ring edges, one on the wrap-around edge, list that neighbour
+    # twice; so does a multi-edge of a generic graph
+    _, gp = _hand_graph(12, [(3, 4), (0, 11), (2, 7), (5, 9)], ring_off=(4, 8))
+    cases += [(gp, s) for s in range(12)]
+    multi = GenericGraph(5, np.array([0, 0, 1, 2]), np.array([3, 3, 2, 3]))
+    cases += [(percolate(multi, 1.0, 1.0, rng), s) for s in range(5)]
+    cases.append((percolate(sample_regular(300, 3, rng), 0.6, 0.6, rng), 7))
+    for gp, s in cases:
+        want = plain_bfs_neighbor(gp, s)
+        got = plain_bfs(gp, s)
+        assert got.rounds == want.rounds
+        assert got.final_r == want.final_r and not got.final_q and not got.final_d
 
 
 def test_visit_sets_always_disjoint():
