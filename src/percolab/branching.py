@@ -249,8 +249,9 @@ def survival_probability(law: OffspringLaw, b0: int, horizon: int,
                          trials: int, rng: np.random.Generator) -> SurvivalEstimate:
     """Fraction of runs with B_horizon > 0, with a 95% Wilson interval.
 
-    Vectorized: all trial populations are advanced one step per loop
-    iteration, drawing offspring only for still-alive trials.
+    Vectorized: the populations of the live walks, kept in trial order,
+    advance together one step per loop iteration on one offspring draw for
+    each, and a walk that dies is dropped on the step it dies.
     """
     if b0 < 1:
         raise ValueError("need b0 >= 1")
@@ -258,14 +259,12 @@ def survival_probability(law: OffspringLaw, b0: int, horizon: int,
         raise ValueError("need horizon >= 0")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    pops = np.full(trials, b0, dtype=np.int64)
+    live = np.full(trials, b0, dtype=np.int64)
     for _ in range(horizon):
-        alive = pops > 0
-        m = int(alive.sum())
-        if m == 0:
+        if not len(live):
             break
-        w = law.sample_many(rng, m)
-        pops[alive] += w - 1
-    survivors = int((pops > 0).sum())
-    frac, lo, hi = _wilson(survivors, trials)
+        live += law.sample_many(rng, len(live)) - 1
+        if live.min() == 0:  # offspring counts are >= 0, so B_t >= 0
+            live = live[live > 0]
+    frac, lo, hi = _wilson(len(live), trials)
     return SurvivalEstimate(frac, lo, hi, trials)

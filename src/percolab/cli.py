@@ -8,10 +8,11 @@ One scaffold, `_command(out_default, jobs=False)`, runs every subcommand.
 It adds the shared options `--out`, `--seed`, `--jobs` (threshold and
 scaling only) and `--config`; merges the config under the explicit flags,
 starts the clock and resolves the seed; then calls `body(p, seed)`, which
-returns `(header, rows, extra)`.  It writes the rows as the CSV (unless
-header is None: `generate` writes its own edge file) and then the manifest,
-which gains the keys of `extra`.  A body reports a bad parameter by
-raising ValueError, which the scaffold catches in one place.
+returns `(header, body, extra)`, body being the CSV text below the header
+with every line ending in a newline.  It writes the header and body as the
+CSV (unless header is None: `generate` writes its own edge file) and then
+the manifest, which gains the keys of `extra`.  A body reports a bad
+parameter by raising ValueError, which the scaffold catches in one place.
 
 Exit codes: 0 success; 2 parameter error, click's usage errors included,
 with exactly one JSON object on stderr; 3 scientifically-ambiguous result
@@ -90,9 +91,20 @@ def _write(path: str, chunks) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-def _write_csv(path: str, header: str, rows, seed: Seed) -> None:
-    _write(path, chain([header + "\n"], (f"{row}\n" for row in rows),
-                       [f"# seed={seed.master}\n"]))
+def _write_csv(path: str, header: str, body: str, seed: Seed) -> None:
+    _write(path, [header + "\n", body, f"# seed={seed.master}\n"])
+
+
+def _lines(rows) -> str:
+    """CSV text of the rows, one line each."""
+    return "".join(f"{row}\n" for row in rows)
+
+
+def _table(template: str, columns: np.ndarray) -> str:
+    """CSV text of an integer array, one line per row, from one `%` over a
+    flat tuple (as `graphs._edge_lines` formats edge lines); template holds
+    one line's format."""
+    return (template * len(columns)) % tuple(columns.ravel().tolist())
 
 
 def _write_manifest(out: str, command: str, params: dict, seed: Seed,
@@ -161,7 +173,7 @@ def _percolate(g, p: dict, seed: Seed) -> graphs.PercolationGraph:
 
 
 def _command(out_default: str, jobs: bool = False):
-    """Decorator that turns `body(p, seed) -> (header, rows, extra)` into a
+    """Decorator that turns `body(p, seed) -> (header, body, extra)` into a
     subcommand callback; the module docstring states the contract."""
     shared = [click.option("--out", type=click.Path(), default=out_default),
               click.option("--seed", type=int, default=None,
@@ -180,11 +192,11 @@ def _command(out_default: str, jobs: bool = False):
             started = time.time()
             seed = _resolve_seed(p["seed"])
             try:
-                header, rows, extra = body(p, seed)
+                header, text, extra = body(p, seed)
             except ValueError as exc:
                 _fail(str(exc))
             if header is not None:
-                _write_csv(p["out"], header, rows, seed)
+                _write_csv(p["out"], header, text, seed)
             _write_manifest(p["out"], ctx.command.name, p, seed, started, extra)
             if extra and extra.get("flagged"):
                 click.echo("ambiguous classification inside bracket", err=True)
@@ -247,7 +259,7 @@ def generate(p, seed):
     except OSError as exc:
         _fail(f"cannot write {p['out']}: {exc.strerror or exc}")
     click.echo(f"wrote {p['out']}", err=True)
-    return None, (), None
+    return None, "", None
 
 
 @main.command()
@@ -262,9 +274,8 @@ def percolate(p, seed):
     eu, ev = gp.active_edge_arrays()
     # retained ring edges come first; every edge of a GenericGraph is kind R
     n_ring = len(eu) if gp.ring_active is None else int(np.count_nonzero(gp.ring_active))
-    kinds = ["R"] * n_ring + ["B"] * (len(eu) - n_ring)
-    rows = [f"{u},{v},{k}" for u, v, k in zip(eu.tolist(), ev.tolist(), kinds)]
-    return "u,v,kind", rows, None
+    uv = np.column_stack([eu, ev])
+    return "u,v,kind", _table("%d,%d,R\n", uv[:n_ring]) + _table("%d,%d,B\n", uv[n_ring:]), None
 
 
 @main.command()
@@ -279,9 +290,8 @@ def components(p, seed):
     # where the running maximum of the labels first reaches k
     min_node = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
     rank = np.argsort(-sizes, kind="stable")
-    rows = [f"{i},{size},{node}" for i, (size, node)
-            in enumerate(zip(sizes[rank].tolist(), min_node[rank].tolist()))]
-    return "component,size,min_node", rows, {
+    rows = np.column_stack([np.arange(len(sizes)), sizes[rank], min_node[rank]])
+    return "component,size,min_node", _table("%d,%d,%d\n", rows), {
         "num_components": len(sizes), "largest": int(sizes.max(initial=0))}
 
 
@@ -329,8 +339,10 @@ def visit(p, seed):
     cfg = visits.VisitConfig(L=p["truncation"], k=p["density_k"],
                              beta=p["beta"], beta_prime=p["beta_prime"])
     trace = _VISITS[p["algorithm"]](g, gp, p["source"], cfg)
-    rows = [f"{i},{q},{r},{d}" for i, (q, r, d) in enumerate(trace.rounds)]
-    return "round,q_size,r_size,d_size", rows, {
+    k = len(trace.rounds)
+    rounds = np.fromiter(chain.from_iterable(trace.rounds), dtype=np.int64, count=3 * k)
+    rows = np.column_stack([np.arange(k), rounds.reshape(k, 3)])
+    return "round,q_size,r_size,d_size", _table("%d,%d,%d,%d\n", rows), {
         "terminated": trace.terminated_reason,
         "final_q": len(trace.final_q),
         "final_r": len(trace.final_r),
@@ -377,7 +389,7 @@ def epidemic_cmd(p, seed):
                                   incubation=_parse_incubation(p["incubation"]))
     trace = _PROCESSES[p["process"]](g, set(p["source"]), cfg, seed.generator())
     rows = trace.to_csv_rows()
-    return rows[0], rows[1:], {
+    return rows[0], _lines(rows[1:]), {
         "final_size": trace.final_size,
         "stop_time": trace.stop_time,
         "truncated": trace.truncated,
@@ -420,7 +432,7 @@ def gw(p, seed):
     row = (f"{est.trials},{est.fraction:.6f},{est.low:.6f},{est.high:.6f},"
            f"{law.mean():.6f},{survival_oracle:.6f}")
     return ("trials,survival,wilson_low,wilson_high,mean_offspring,oracle_survival",
-            [row], None)
+            row + "\n", None)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +457,7 @@ def threshold(p, seed):
                                       seed, jobs=jobs)
     rows = [f"{r.p:.6f},{r.median_largest:.1f},{r.classification}"
             for r in est.probes]
-    return "p,median_largest,classification", rows, {
+    return "p,median_largest,classification", _lines(rows), {
         "p_low": est.p_low,
         "p_high": est.p_high,
         "statistic": est.statistic,
@@ -476,7 +488,7 @@ def scaling(p, seed):
                     f"{r.median_giant_fraction:.6f},{diam},"
                     f"{int(r.diameter_skipped)}")
     return ("n,median_max_component,median_giant_fraction,median_giant_diameter,"
-            "diameter_skipped", rows, None)
+            "diameter_skipped", _lines(rows), None)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +519,7 @@ def equivalence(p, seed):
         exact = epidemic.exact_final_size_law(g, i0, cfg)
         rows.append(f"epidemic_vs_exact,{epidemic.total_variation(rf_law, exact):.6f}")
         rows.append(f"percolation_vs_exact,{epidemic.total_variation(size_law, exact):.6f}")
-    return "comparison,tv_distance", rows, {"exact_oracle": exact is not None}
+    return "comparison,tv_distance", _lines(rows), {"exact_oracle": exact is not None}
 
 
 if __name__ == "__main__":

@@ -18,13 +18,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# dijkstra is called through its module: a name bound to it here would be
+# the very object that graphs._dijkstra is, which the benchmark's tracing
+# wraps to count the diameter's sweeps
+from scipy.sparse import csgraph
 
 from .graphs import (
     GenericGraph,
-    PercolationGraph,
+    SmallWorldGraph,
+    _check_probabilities,
+    _edge_matrix,
     bfs_order,
     component_labels,
-    percolate,
     percolate_coupled,
 )
 
@@ -364,25 +369,10 @@ def run_rf_coupled(g, I0, p_values, rng: np.random.Generator) -> list:
 # percolation equivalence harness
 # ---------------------------------------------------------------------------
 
-def _bfs_layers(gp: PercolationGraph, I0) -> list:
-    """Sizes (N0, N1, ...) of the hop-distance levels from the distinct
-    nodes I0 in the retained subgraph."""
-    eu, ev = gp.active_edge_arrays()
-    adj = [[] for _ in range(gp.n)]
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    _, found = bfs_order(I0, adj.__getitem__)
-    # a layer starts once the last node of the one before has left the
-    # queue, and holds the nodes that layer reached first
-    layers, left, size = [], 0, len(I0)
-    for f in found:
-        if not left:
-            layers.append(size)
-            left, size = size, 0
-        size += f
-        left -= 1
-    return layers
+# A block of trials draws at most this many uniforms at once (1 MB of
+# float64) and labels at most this many nodes: the fixture's trials share
+# a few blocks, and each trial on an n = 2e5 graph is a block of its own.
+_BLOCK_SIZE = 2 ** 17
 
 
 def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
@@ -390,18 +380,50 @@ def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
     """Empirical law of (reachable-set size, hop-level sizes) obtained by
     percolating and BFS-layering from I0, one sample per trial.
 
-    Returns (Counter over total size, Counter over layer tuples).
+    Trials run in blocks.  One draw gives each trial of a block the
+    uniforms `percolate` would draw (ring edges then bridges, or one per
+    edge of a GenericGraph, trial after trial), so the laws and the
+    generator state do not depend on the block size.  One multi-source
+    hop-distance search then labels the block's disjoint copies of the
+    retained graph, node v of trial t being t*n + v.
+
+    Returns (Counter over total size, Counter over layer tuples), keys in
+    order of first occurrence.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    I0 = sorted(set(I0))
+    sources = np.array(_initial_nodes(g, I0), dtype=np.int64)
+    _check_probabilities(p_local, p_bridge)
+    n = g.n
+    if isinstance(g, SmallWorldGraph):
+        ring = np.arange(n)
+        eu = np.concatenate([ring, g.bridge_u])
+        ev = np.concatenate([(ring + 1) % n, g.bridge_v])
+        limit = np.repeat([p_local, p_bridge], [n, g.num_bridges])
+    else:
+        eu, ev, limit = g.edge_u, g.edge_v, p_local
+    block = max(1, _BLOCK_SIZE // max(1, n, len(eu)))
     size_law: Counter = Counter()
     layer_law: Counter = Counter()
-    for _ in range(trials):
-        gp = percolate(g, p_local, p_bridge, rng)
-        layers = _bfs_layers(gp, I0)
-        size_law[sum(layers)] += 1
-        layer_law[tuple(layers)] += 1
+    for done in range(0, trials, block):
+        count = min(block, trials - done)
+        # an edge is retained at every probability above its uniform
+        t, k = np.nonzero(rng.random((count, len(eu))) < limit)
+        offset = t * n
+        hops = csgraph.dijkstra(
+            _edge_matrix(count * n, offset + eu[k], offset + ev[k]), directed=False,
+            indices=(np.arange(count)[:, None] * n + sources).ravel(),
+            unweighted=True, min_only=True)
+        reached = np.flatnonzero(np.isfinite(hops))
+        hops = hops[reached].astype(np.int64)
+        depth = int(hops.max()) + 1
+        # levels[t, d] counts trial t's nodes at hop distance d; the
+        # nonempty levels of a trial are 0, 1, ..., its last
+        levels = np.bincount(reached // n * depth + hops,
+                             minlength=count * depth).reshape(count, depth)
+        size_law.update(levels.sum(axis=1).tolist())
+        layer_law.update(tuple(row[:m]) for row, m in
+                         zip(levels.tolist(), np.count_nonzero(levels, axis=1).tolist()))
     return size_law, layer_law
 
 

@@ -320,9 +320,13 @@ def _draw(g, rng: np.random.Generator) -> tuple:
     return None, rng.random(len(g.edge_u))
 
 
-def _retain(g, uniforms: tuple, p_local: float, p_bridge: float) -> PercolationGraph:
+def _check_probabilities(p_local: float, p_bridge: float) -> None:
     if not (0 <= p_local <= 1 and 0 <= p_bridge <= 1):  # also refuses nan
         raise ValueError("probabilities must be in [0, 1]")
+
+
+def _retain(g, uniforms: tuple, p_local: float, p_bridge: float) -> PercolationGraph:
+    _check_probabilities(p_local, p_bridge)
     # an edge is retained at every probability above its uniform
     u_ring, u_edge = uniforms
     if u_ring is None:
@@ -380,6 +384,17 @@ def _ring_arcs(ring: np.ndarray) -> tuple:
     return arc, k
 
 
+def _edge_matrix(k: int, u: np.ndarray, v: np.ndarray) -> csr_matrix:
+    """CSR matrix of the k-node graph with one unit entry per edge
+    (u[i], v[i]) in row u[i], built directly: the row bounds are a bincount
+    of u and the rows one stable argsort of it.  scipy's undirected
+    routines read both directions off it."""
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=k), out=indptr[1:])
+    indices = v[np.argsort(u, kind="stable")]
+    return csr_matrix((np.ones(len(u)), indices, indptr), shape=(k, k))
+
+
 def component_labels(gp) -> tuple:
     """(labels, sizes): labels[v] is the component id of v, sizes[k] the
     size of component k.  `connected_components`, the studies and the
@@ -399,10 +414,8 @@ def component_labels(gp) -> tuple:
     else:
         arc, k = None, gp.n
         u, v = _as_edge_arrays(gp)
-    data = np.ones(len(u), dtype=np.int8)
-    mat = csr_matrix((data, (u, v)), shape=(k, k))
     # scipy numbers components in order of their smallest index
-    ncomp, labels = _cc(mat, directed=False)
+    ncomp, labels = _cc(_edge_matrix(k, u, v), directed=False)
     if arc is not None:
         labels = labels[arc]
     sizes = np.bincount(labels, minlength=ncomp)
@@ -766,7 +779,6 @@ def save_edge_list(g, path) -> None:
 
 
 _SPACE = b" \t\n\v\f"
-_KINDS_TO_SPACE = bytes.maketrans(b"RB", b"  ")
 
 
 def _parse_edge_lines(body: bytes) -> tuple:
@@ -780,13 +792,14 @@ def _parse_edge_lines(body: bytes) -> tuple:
     if b"#" in body:
         body = b"\n".join(line for line in body.split(b"\n")
                            if not line.lstrip().startswith(b"#"))
-    text = body + b"\n"
+    text = body if body.endswith(b"\n") else body + b"\n"
     a = np.frombuffer(text, dtype=np.uint8)
     # +1 where a field starts, -1 on the byte after it ends (bytes <= b" "
-    # separate fields; control bytes other than whitespace are refused below)
+    # separate fields; control bytes other than whitespace are refused
+    # below); the text ends in a newline, so starts and ends alternate
     edge = np.diff((a > ord(" ")).view(np.int8), prepend=np.int8(0))
-    starts = np.flatnonzero(edge == 1)
-    ends = np.flatnonzero(edge == -1)
+    bounds = np.flatnonzero(edge)
+    starts, ends = bounds[0::2], bounds[1::2]
     three_fields = "every edge line must hold three fields: u v kind"
     if len(starts) % 3:
         raise ValueError(three_fields)
@@ -803,13 +816,17 @@ def _parse_edge_lines(body: bytes) -> tuple:
     if bad.any():
         names = {text[s:e].decode(errors="replace") for s, e in zip(ks[bad], ke[bad])}
         raise ValueError(f"unknown edge kind(s): {sorted(names)}")
-    digits = text.translate(_KINDS_TO_SPACE)
-    d = np.frombuffer(digits, dtype=np.uint8)
-    signs = np.flatnonzero((d == ord("+")) | (d == ord("-")))
-    if (text.count(b"R") + text.count(b"B") != len(ks)
-            or digits.translate(None, b"0123456789+-" + _SPACE)
-            or np.any(edge[signs] != 1) or np.any(edge[signs + 1] != 0)
-            or np.any(ends - starts > 18)):
+    # blank out the kind fields; an R or B anywhere else is refused below
+    digits = bytearray(text)
+    np.frombuffer(digits, dtype=np.uint8)[ks] = ord(" ")
+    digits = bytes(digits)
+    bad_sign = False
+    if b"+" in text or b"-" in text:
+        # a sign must open a field and be followed by more of it
+        signs = np.flatnonzero((a == ord("+")) | (a == ord("-")))
+        bad_sign = np.any(edge[signs] != 1) or np.any(edge[signs + 1] != 0)
+    if (digits.translate(None, b"0123456789+-" + _SPACE)
+            or bad_sign or np.any(ends - starts > 18)):
         raise ValueError("edge endpoints must be integers")
     if not len(ks):
         empty = np.empty(0, dtype=np.int64)

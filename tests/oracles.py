@@ -1,18 +1,23 @@
 """Reference implementations the tests check the library against.
 
-These are the straightforward per-line and per-node versions that the
-array-based code in `percolab` replaced: a line-by-line edge-file parser,
-list-of-lists adjacency, the eager list of component sets, the set-based
-epidemic simulator, the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness predicates of the visits, the
-per-arc compound offspring sampler and the compound-law population that
-dominates a visit's queue.
+These are the straightforward per-line, per-node and per-trial versions
+that the array-based code in `percolab` replaced: a line-by-line edge-file
+parser, list-of-lists adjacency, the eager list of component sets, the
+set-based epidemic simulator, the per-trial percolation reachability law,
+the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness
+predicates of the visits, the per-arc compound offspring sampler, the
+masked survival loop and the compound-law population that dominates a
+visit's queue.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from percolab.branching import CompoundZeta
 from percolab.epidemic import EpidemicTrace
-from percolab.graphs import GenericGraph, SmallWorldGraph, bfs_order, component_labels
+from percolab.graphs import (GenericGraph, SmallWorldGraph, bfs_order, component_labels,
+                             percolate)
 from percolab.local_clusters import ring_distance
 from percolab.visits import QUEUE_EMPTY, VisitTrace
 
@@ -146,6 +151,52 @@ def simulate_sets(g, I0, cfg, rng, max_steps=None):
     truncated = bool(infectious_age or exposed)
     recovered |= set(infectious_age) | set(exposed)
     return EpidemicTrace(counts, recovered, t, truncated)
+
+
+def bfs_layers(gp, I0):
+    """Sizes (N0, N1, ...) of the hop-distance levels from the distinct
+    nodes I0 in the retained subgraph, on a list adjacency."""
+    eu, ev = gp.active_edge_arrays()
+    adj = [[] for _ in range(gp.n)]
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    _, found = bfs_order(I0, adj.__getitem__)
+    # a layer starts once the last node of the one before has left the
+    # queue, and holds the nodes that layer reached first
+    layers, left, size = [], 0, len(I0)
+    for f in found:
+        if not left:
+            layers.append(size)
+            left, size = size, 0
+        size += f
+        left -= 1
+    return layers
+
+
+def reachability_law_per_trial(g, I0, p_local, p_bridge, trials, rng):
+    """`percolation_reachability_law` one trial at a time: one `percolate`
+    and one `bfs_layers` per trial."""
+    I0 = sorted(set(I0))
+    size_law, layer_law = Counter(), Counter()
+    for _ in range(trials):
+        layers = bfs_layers(percolate(g, p_local, p_bridge, rng), I0)
+        size_law[sum(layers)] += 1
+        layer_law[tuple(layers)] += 1
+    return size_law, layer_law
+
+
+def survivors_masked(law, b0, horizon, trials, rng):
+    """Survivors of `survival_probability`'s walks, every trial population
+    kept and the live ones masked and advanced on each step."""
+    pops = np.full(trials, b0, dtype=np.int64)
+    for _ in range(horizon):
+        alive = pops > 0
+        m = int(alive.sum())
+        if m == 0:
+            break
+        pops[alive] += law.sample_many(rng, m) - 1
+    return int((pops > 0).sum())
 
 
 def plain_bfs_neighbor(gp, s):

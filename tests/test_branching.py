@@ -15,7 +15,7 @@ from percolab.branching import (
 )
 from percolab.rng import Seed
 
-from .oracles import compound_zeta_per_arc, gw_upper_population
+from .oracles import compound_zeta_per_arc, gw_upper_population, survivors_masked
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,23 @@ def test_survival_validation():
             survival_probability(law, b0, horizon, 10, Seed(0).generator())
     # horizon 0 is the initial population itself: every trial survives
     assert survival_probability(law, 1, 0, 10, Seed(0).generator()).fraction == 1.0
+
+
+@pytest.mark.parametrize("law, b0, horizon", [
+    (Binomial(3, 0.4), 1, 300), (Binomial(2, 0.4), 3, 300), (Binomial(3, 0.4), 2, 0),
+    (GeometricCutoff(0.6, 4), 2, 200), (CompoundZeta(50, 0.3, 2.0), 1, 200),
+    (Empirical(((0, 0.35), (1, 0.15), (3, 0.5))), 4, 150),
+])
+def test_survival_matches_the_masked_oracle(law, b0, horizon):
+    """The compacted walks get the same draws as the masked loop: equal
+    survivors and the same generator state afterwards."""
+    trials = 3000
+    got_rng, want_rng = Seed(56).generator(), Seed(56).generator()
+    est = survival_probability(law, b0, horizon, trials, got_rng)
+    survivors = survivors_masked(law, b0, horizon, trials, want_rng)
+    assert est.fraction * trials == pytest.approx(survivors, abs=1e-6)
+    assert survivors < trials or horizon == 0  # some walk died and was dropped
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_subcritical_survival_vanishes():

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from percolab.cli import main
 from percolab.graphs import load_edge_list, percolate
 from percolab.rng import Seed
+from percolab.visits import plain_bfs
 
 from .oracles import connected_components_eager
 
@@ -381,3 +382,25 @@ def test_components_rows_list_the_component_sets(runner, tmp_path):
         assert _read(out).decode().splitlines()[1:-1] == rows
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert (manifest["num_components"], manifest["largest"]) == (len(want), len(want[0]))
+
+
+def test_percolate_and_visit_rows_hold_the_edges_and_the_rounds(runner, swg_fixture, tmp_path):
+    out = tmp_path / "rows.csv"
+    for graph, p in ((swg_fixture, "0.55"), (FIXTURE, "0.5"), (FIXTURE, "0")):
+        res = runner.invoke(main, ["percolate", "--graph", graph, "--p-local", p,
+                                   "--seed", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        gp = percolate(load_edge_list(graph), float(p), float(p), Seed(3).generator())
+        eu, ev = gp.active_edge_arrays()
+        n_ring = len(eu) if gp.ring_active is None else int(gp.ring_active.sum())
+        want = [f"{u},{v},{'R' if i < n_ring else 'B'}"
+                for i, (u, v) in enumerate(zip(eu.tolist(), ev.tolist()))]
+        assert _read(out).decode().splitlines()[1:-1] == want
+    for p in ("0.55", "0"):
+        res = runner.invoke(main, ["visit", "--graph", swg_fixture, "--algorithm", "bfs",
+                                   "--p-local", p, "--source", "7", "--seed", "4",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        gp = percolate(load_edge_list(swg_fixture), float(p), float(p), Seed(4).generator())
+        want = [f"{i},{q},{r},{d}" for i, (q, r, d) in enumerate(plain_bfs(gp, 7).rounds)]
+        assert _read(out).decode().splitlines()[1:-1] == want

@@ -29,7 +29,7 @@ from percolab.graphs import (
 )
 from percolab.rng import Seed, derive
 
-from .oracles import simulate_sets
+from .oracles import reachability_law_per_trial, simulate_sets
 
 
 def _path(k):
@@ -266,6 +266,48 @@ def test_reachability_law_trivial_probabilities():
                                                    Seed(9).generator())
     assert sizes0 == Counter({1: 10})
     assert layers0 == Counter({(1,): 10})
+
+
+def test_reachability_law_refuses_initial_nodes_out_of_range():
+    # -1 would name node n - 1 of the trial, or of the block's previous one
+    for i0, match in (({-1}, "out of range"), ({6}, "out of range"),
+                      ({0, 6}, "out of range"), (set(), "nonempty")):
+        with pytest.raises(ValueError, match=match):
+            percolation_reachability_law(fixture_graph(), i0, 0.5, 0.5, 10,
+                                         Seed(0).generator())
+
+
+def _reach_cases():
+    rng = Seed(41).generator()
+    # a bridge on ring edge {0, 1} and one on the wrap-around edge {0, 5}
+    doubled = SmallWorldGraph(6, np.array([0, 0, 2]), np.array([1, 5, 4]), "erdos:c=1")
+    multi = GenericGraph(5, np.array([0, 0, 1, 2, 2, 3]), np.array([1, 1, 2, 3, 4, 4]))
+    sparse = GenericGraph(40, np.array([0, 1, 5, 20]), np.array([1, 2, 30, 21]))
+    graphs = {"swg": sample_swg_erdos(400, 1.5, rng), "matching": sample_swg_matching(400, rng),
+              "regular": sample_regular(300, 3, rng), "generic-multi": multi,
+              "generic-sparse": sparse, "doubled-bridge": doubled, "fixture": fixture_graph()}
+    for name, g in graphs.items():
+        i0 = {0, g.n // 2} if g.n > 6 else {0}
+        for pl, pb in ((0.0, 0.0), (1.0, 1.0), (0.55, 0.55), (0.6, 0.3)):
+            yield pytest.param(g, i0, pl, pb, id=f"{name}-{pl}-{pb}")
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("g, i0, p_local, p_bridge", _reach_cases())
+def test_reachability_law_matches_the_per_trial_oracle(monkeypatch, g, i0, p_local,
+                                                       p_bridge, block):
+    """Equal laws, in the same key order, and the same generator state
+    afterwards, whatever the block size (None: one block for all trials)."""
+    trials = 23
+    width = g.n + g.num_bridges if isinstance(g, SmallWorldGraph) else max(g.n, len(g.edge_u))
+    cap = 10 ** 9 if block is None else block * width + width - 1
+    monkeypatch.setattr(epidemic, "_BLOCK_SIZE", cap)
+    got_rng, want_rng = Seed(43).generator(), Seed(43).generator()
+    got = percolation_reachability_law(g, i0, p_local, p_bridge, trials, got_rng)
+    want = reachability_law_per_trial(g, i0, p_local, p_bridge, trials, want_rng)
+    assert got == want
+    assert [list(law.items()) for law in got] == [list(law.items()) for law in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_reachability_layers_match_scipy_hop_distances():
