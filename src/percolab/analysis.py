@@ -1,12 +1,14 @@
 """Closed-form critical thresholds and the Monte Carlo experiments that
 bracket them at finite n.
 
-The closed forms are exact; the Monte Carlo side classifies a probe
-probability as supercritical when the median largest-component fraction
-reaches theta = GIANT_FRACTION_THETA, and subcritical when the median largest
-component stays below beta * ln n with beta = MAX_COMP_LOG_BETA.  Both
-constants are finite-size engineering choices and are recorded in every
-result.
+The closed forms are exact.  On the Monte Carlo side a largest component
+is a giant when it holds at least theta = GIANT_FRACTION_THETA of the n
+nodes, and small when it stays below beta * ln n with beta =
+MAX_COMP_LOG_BETA.  The threshold bracket runs coupled trials, one sample
+and one per-edge draw each, and calls a probe probability supercritical
+when a majority of the trials hold a giant there and subcritical when a
+majority hold only small components.  Both constants are finite-size
+engineering choices and are recorded in every result.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .graphs import (
+    GenericGraph,
+    PercolationGraph,
     component_diameter,
     component_labels,
     connected_components,
@@ -128,13 +132,6 @@ class ModelSpec:
         return percolate(g, p_local, p, rng), rng
 
 
-def _largest_component_size(model: ModelSpec, n: int, p: float,
-                            seed: rngmod.Seed) -> int:
-    gp, _ = model.percolated(n, p, seed)
-    _, sizes = component_labels(gp)
-    return int(sizes.max())
-
-
 def _pool_map(fn, args, jobs: int) -> list:
     if jobs <= 1 or len(args) <= 1:
         return [fn(*a) for a in args]
@@ -160,10 +157,22 @@ SUPER = "supercritical"
 AMBIGUOUS = "ambiguous"
 
 
+def classify_largest(largest: float, n: int) -> str:
+    """Supercritical when a largest component of `largest` nodes is a giant
+    (at least theta * n), else subcritical when it is small (at most
+    beta * ln n), else ambiguous."""
+    if largest >= GIANT_FRACTION_THETA * n:
+        return SUPER
+    if largest <= MAX_COMP_LOG_BETA * math.log(n):
+        return SUB
+    return AMBIGUOUS
+
+
 @dataclass
 class ProbeResult:
     p: float
-    median_largest: float
+    giant_trials: int
+    small_trials: int
     classification: str
 
 
@@ -187,34 +196,196 @@ class ThresholdEstimate:
         return 0.5 * (self.p_low + self.p_high)
 
 
-def classify_median(median_largest: float, n: int) -> str:
-    if median_largest >= GIANT_FRACTION_THETA * n:
-        return SUPER
-    if median_largest <= MAX_COMP_LOG_BETA * math.log(n):
-        return SUB
-    return AMBIGUOUS
+def probe_point(p: float, giant_trials: int, small_trials: int,
+                trials: int) -> ProbeResult:
+    """Classify grid probability p from how many of the `trials` trials hold
+    a giant there and how many only small components: supercritical when
+    the giant ones are a majority (at least trials // 2 + 1), subcritical
+    when the small ones are, and ambiguous otherwise."""
+    majority = trials // 2 + 1
+    if giant_trials >= majority:
+        kind = SUPER
+    elif small_trials >= majority:
+        kind = SUB
+    else:
+        kind = AMBIGUOUS
+    return ProbeResult(p, giant_trials, small_trials, kind)
 
 
-def probe_point(model: ModelSpec, n: int, p: float, trials: int,
-                seed: rngmod.Seed, jobs: int = 1) -> ProbeResult:
-    """Classify one probe probability from `trials` independent samples."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    args = [(model, n, p, rngmod.derive(seed, i)) for i in range(trials)]
-    sizes = _pool_map(_largest_component_size, args, jobs)
-    med = float(np.median(sizes))
-    return ProbeResult(p, med, classify_median(med, n))
+class _Contracted:
+    """A trial's graph at a grid level m that holds no giant: each component
+    at m is one node, weighted by its size, and the edges whose levels lie
+    above m and below the lowest level known to hold a giant join them,
+    u < v, sorted by level."""
+
+    def __init__(self, weight: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 level: np.ndarray):
+        # edges inside one component join nothing; dropping them keeps the
+        # levels sorted
+        keep = np.flatnonzero(u != v)
+        u, v = u.take(keep), v.take(keep)
+        self.u, self.v = np.minimum(u, v), np.maximum(u, v)
+        self.level = level.take(keep)
+        self.weight = weight
+        self.heaviest = int(weight.max())
+
+    def largest(self, m: int) -> tuple:
+        """(size, grouping): the largest component size at level m, and what
+        `contract` needs to contract there.  Only the nodes that edges up to
+        m touch are labelled; every other component keeps its weight, and
+        none is heavier than the heaviest node."""
+        cut = int(np.searchsorted(self.level, m, side="right"))
+        if not cut:
+            none = np.empty(0, dtype=np.int64)
+            return self.heaviest, (none, none, none, cut)
+        u, v = self.u[:cut], self.v[:cut]
+        k = len(self.weight)
+        hit = np.zeros(k, dtype=bool)
+        hit[u] = True
+        hit[v] = True
+        touched = np.flatnonzero(hit)
+        pos = np.empty(k, dtype=np.int64)
+        pos[touched] = np.arange(len(touched))
+        labels, _ = component_labels(GenericGraph(len(touched), pos.take(u), pos.take(v)))
+        merged = np.bincount(labels, weights=self.weight.take(touched)).astype(np.int64)
+        return max(self.heaviest, int(merged.max())), (touched, labels, merged, cut)
+
+    def contract(self, m: int, top: int, grouping: tuple) -> "_Contracted":
+        """The graph at level m, below a giant at level top, from the
+        grouping `largest(m)` returned."""
+        touched, labels, merged, cut = grouping
+        k = len(self.weight)
+        rest = np.ones(k, dtype=bool)
+        rest[touched] = False
+        rest = np.flatnonzero(rest)
+        node = np.empty(k, dtype=np.int64)
+        node[touched] = labels
+        node[rest] = len(merged) + np.arange(len(rest))
+        end = int(np.searchsorted(self.level, top))
+        return _Contracted(np.concatenate([merged, self.weight.take(rest)]),
+                           node.take(self.u[cut:end]), node.take(self.v[cut:end]),
+                           self.level[cut:end])
+
+
+class _CoupledTrial:
+    """One threshold trial at grid level 0: its graph and its one draw, cut
+    at the levels of the 2^depth grid.
+
+    An edge with retention uniform u has level floor(u * 2^depth) + 1, so it
+    is retained at level m (probability m / 2^depth) exactly when
+    u < m / 2^depth, and the retained edge sets grow with m.  A nonhom ring
+    stays as drawn at p1: its retained edges get level 0 and the others a
+    level above the grid.  Labels at a level come from `component_labels`
+    on the percolated graph there.
+    """
+
+    def __init__(self, gp, depth: int, fixed_ring: bool):
+        self.base, self.scale = gp.base, 1 << depth
+        # a fixed ring keeps its own probability
+        self.p_local = gp.p_local if fixed_ring else None
+        u_ring, u_edge = gp.uniforms
+        self.edge_level = self._levels(u_edge)
+        if u_ring is None:
+            self.ends = self.base.edge_u, self.base.edge_v
+            self.ring_level = None
+            return
+        self.ends = self.base.bridge_u, self.base.bridge_v
+        if fixed_ring:
+            self.ring_level = np.where(gp.ring_active, 0, self.scale + 1).astype(np.int16)
+        else:
+            self.ring_level = self._levels(u_ring)
+
+    def _levels(self, uniforms: np.ndarray) -> np.ndarray:
+        # u * 2^depth is exact, so its integer part is the floor
+        return (uniforms * self.scale).astype(np.int16) + 1
+
+    def largest(self, m: int) -> tuple:
+        """(size, grouping) at level m, as `_Contracted.largest`."""
+        p = m / self.scale
+        ring = None if self.ring_level is None else self.ring_level <= m
+        gp = PercolationGraph(self.base, ring, self.edge_level <= m,
+                              p if self.p_local is None else self.p_local, p)
+        labels, sizes = component_labels(gp)
+        return int(sizes.max()), (labels, sizes)
+
+    def contract(self, m: int, top: int, grouping: tuple) -> _Contracted:
+        labels, sizes = grouping
+        e = np.flatnonzero((self.edge_level > m) & (self.edge_level < top))
+        u, v = (labels.take(ends.take(e)) for ends in self.ends)
+        level = self.edge_level.take(e)
+        if self.ring_level is not None:
+            # ring edge i joins i and i + 1 mod n
+            r = np.flatnonzero((self.ring_level > m) & (self.ring_level < top))
+            u = np.concatenate([labels.take(r), u])
+            v = np.concatenate([labels.take(r + 1, mode="wrap"), v])
+            level = np.concatenate([self.ring_level.take(r), level])
+        order = np.argsort(level, kind="stable")
+        return _Contracted(sizes, u.take(order), v.take(order), level.take(order))
+
+
+def _trial_crossings(model: ModelSpec, n: int, depth: int,
+                     seed: rngmod.Seed) -> tuple:
+    """(g, s) for one trial on the 2^depth grid: g the lowest level in
+    1..2^depth - 1 whose largest component is a giant (2^depth if none),
+    s the highest whose largest component is small (0 if none).
+
+    The trial is one sample percolated at probability 1/2 from the seed's
+    stream; every other level cuts the same draw, so the largest component
+    grows with the level and each crossing is found by bisection.  The
+    giant crossing is bisected first; each answer also bounds s, and one
+    that holds no giant contracts the graph there, keeping only the edges
+    between it and the lowest giant level so far.  The small crossing is
+    then bisected from the contraction at the highest small level seen.
+    """
+    gp, _ = model.percolated(n, 0.5, seed)
+    stage = _CoupledTrial(gp, depth, model.name == "nonhom")
+    del gp  # the levels replace its uniforms
+    lo, hi = 0, 1 << depth
+    s_stage, s_lo, s_hi = stage, lo, hi
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        size, grouping = stage.largest(m)
+        kind = classify_largest(size, n)
+        if kind == SUPER:
+            hi = m
+            s_hi = min(s_hi, m)
+            continue
+        stage, lo = stage.contract(m, hi, grouping), m
+        if kind == SUB:
+            s_stage, s_lo = stage, m
+        else:
+            s_hi = min(s_hi, m)
+    giant = hi
+    stage, lo, hi = s_stage, s_lo, s_hi
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        size, grouping = stage.largest(m)
+        if classify_largest(size, n) == SUB:
+            stage, lo = stage.contract(m, hi, grouping), m
+        else:
+            hi = m
+    return giant, lo
 
 
 def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
                        bracket_tolerance: float, seed: rngmod.Seed,
                        jobs: int = 1) -> ThresholdEstimate:
-    """Bisection bracket of the critical probe probability.
+    """Bisection bracket of the critical probe probability, from coupled
+    trials on the dyadic grid that the tolerance implies.
 
-    p=0 and p=1 are taken as subcritical/supercritical anchors without
-    simulation.  An ambiguous probe (median between beta*ln n and theta*n,
-    the finite-size window around p_c) is treated as "no giant observed"
-    so the bracket keeps shrinking, but the result is flagged.
+    The grid has 2^D levels, D the number of halvings of [0, 1] that bring
+    the bracket within the tolerance.  Trial i samples one graph from
+    stream derive(seed, i) and draws one uniform per edge; an edge is
+    retained at every level above its uniform, so each trial's largest
+    component grows with the level, and the trial records two crossings
+    (`_trial_crossings`): the lowest level holding a giant and the highest
+    holding only small components.  `jobs` workers take whole trials, so the
+    result does not depend on it.  The bisection then reads each level's
+    classification off the crossings (`probe_point`); p=0 and p=1 are
+    taken as subcritical/supercritical anchors without simulation.  An
+    ambiguous level (no majority of giant or of small trials, the
+    finite-size window around p_c) is treated as "no giant observed" so the
+    bracket keeps shrinking, but the result is flagged.
     """
     if n < 1000:
         raise ValueError("need n >= 1000 for a meaningful classification")
@@ -226,31 +397,32 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
     if trials_per_point < 1:
         raise ValueError("need trials >= 1")
     model.validate_n(n)
-    lo, hi = 0.0, 1.0
+    depth = 1
+    while 0.5 ** depth > bracket_tolerance:
+        depth += 1
+    args = [(model, n, depth, rngmod.derive(seed, i)) for i in range(trials_per_point)]
+    giant, small = np.array(_pool_map(_trial_crossings, args, jobs)).T
+    scale = 1 << depth
+    lo, hi = 0, scale
     probes: list = []
-    flagged = False
-    probe_idx = 0
-    while hi - lo > bracket_tolerance:
-        mid = 0.5 * (lo + hi)
-        res = probe_point(model, n, mid, trials_per_point,
-                         rngmod.derive(seed, 1000 + probe_idx), jobs)
-        probe_idx += 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        res = probe_point(mid / scale, int(np.sum(giant <= mid)),
+                          int(np.sum(small >= mid)), trials_per_point)
         probes.append(res)
         if res.classification == SUPER:
             hi = mid
         else:
-            if res.classification == AMBIGUOUS:
-                flagged = True
             lo = mid
-    stat = (f"GiantFraction(theta={GIANT_FRACTION_THETA})/"
-            f"MaxCompOverLogN(beta={MAX_COMP_LOG_BETA})")
+    stat = (f"TrialMajority(GiantFraction(theta={GIANT_FRACTION_THETA})/"
+            f"MaxCompOverLogN(beta={MAX_COMP_LOG_BETA}), coupled grid 2^-{depth})")
+    ambig = sorted(r.p for r in probes if r.classification == AMBIGUOUS)
     notes = ""
-    if flagged:
-        ambig = [r.p for r in probes if r.classification == AMBIGUOUS]
+    if ambig:
         notes = ("ambiguous classifications at p in "
-                 f"{sorted(ambig)}; finite-size window around p_c")
-    return ThresholdEstimate(lo, hi, stat, trials_per_point, n, probes,
-                             flagged, notes)
+                 f"{ambig}; finite-size window around p_c")
+    return ThresholdEstimate(lo / scale, hi / scale, stat, trials_per_point, n,
+                             probes, bool(ambig), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +489,11 @@ def survival_from_single_source(model: ModelSpec, p: float, n: int,
                                 trials: int, seed: rngmod.Seed,
                                 jobs: int = 1, k: int = 20) -> float:
     """Fraction of trials in which a uniform random source lands in a
-    component of at least n/k nodes."""
+    component of at least n/k nodes, for k >= 1."""
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
     model.validate_n(n)
     args = [(model, n, p, rngmod.derive(seed, i), k) for i in range(trials)]
     hits = _pool_map(_survival_trial, args, jobs)

@@ -450,14 +450,14 @@ def gw(p, seed):
 @click.option("--tol", type=float, default=0.02)
 @_command("threshold.csv", jobs=True)
 def threshold(p, seed):
-    """Bracket the critical probability by bisection."""
+    """Bracket the critical probability by bisection on coupled trials."""
     jobs = _resolve_jobs(p["jobs"])
     spec = analysis.ModelSpec(name=p["model"], c=p["c"], p1=p["p1"], d=p["d"])
     est = analysis.estimate_threshold(spec, p["n"], p["trials"], p["tol"],
                                       seed, jobs=jobs)
-    rows = [f"{r.p:.6f},{r.median_largest:.1f},{r.classification}"
+    rows = [f"{r.p:.6f},{r.giant_trials},{r.small_trials},{r.classification}"
             for r in est.probes]
-    return "p,median_largest,classification", _lines(rows), {
+    return "p,giant_trials,small_trials,classification", _lines(rows), {
         "p_low": est.p_low,
         "p_high": est.p_high,
         "statistic": est.statistic,

@@ -6,18 +6,22 @@ parser, list-of-lists adjacency, the eager list of component sets, the
 set-based epidemic simulator, the per-trial percolation reachability law,
 the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness
 predicates of the visits, the per-arc compound offspring sampler, the
-masked survival loop and the compound-law population that dominates a
-visit's queue.
+masked survival loop, the compound-law population that dominates a
+visit's queue, the fresh-sample threshold probe and bisection, and the
+level-by-level labelling of a coupled threshold trial.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
+from percolab import rng as rngmod
+from percolab.analysis import SUB, SUPER, _pool_map, classify_largest
 from percolab.branching import CompoundZeta
 from percolab.epidemic import EpidemicTrace
-from percolab.graphs import (GenericGraph, SmallWorldGraph, bfs_order, component_labels,
-                             percolate)
+from percolab.graphs import (GenericGraph, SmallWorldGraph, _retain, bfs_order,
+                             component_labels, percolate)
 from percolab.local_clusters import ring_distance
 from percolab.visits import QUEUE_EMPTY, VisitTrace
 
@@ -261,3 +265,65 @@ def gw_upper_population(n, p, c, t, rng):
     if p == 0.0 or t == 0:
         return 0
     return int(CompoundZeta(n, p, c).sample_many(rng, t).sum())
+
+
+@dataclass
+class MedianProbe:
+    p: float
+    median_largest: float
+    classification: str
+
+
+def _largest_component_size(model, n, p, seed):
+    gp, _ = model.percolated(n, p, seed)
+    _, sizes = component_labels(gp)
+    return int(sizes.max())
+
+
+def fresh_probe_point(model, n, p, trials, seed, jobs=1):
+    """Classify probe probability p by the median largest component of
+    `trials` graphs, each sampled and percolated at p from stream
+    derive(seed, i)."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    args = [(model, n, p, rngmod.derive(seed, i)) for i in range(trials)]
+    med = float(np.median(_pool_map(_largest_component_size, args, jobs)))
+    return MedianProbe(p, med, classify_largest(med, n))
+
+
+def fresh_threshold_bisection(model, n, trials, tol, seed):
+    """(p_low, p_high, probes): bisection of [0, 1] until the bracket is at
+    most tol wide, probe i a `fresh_probe_point` on stream
+    derive(seed, 1000 + i); a probe that is not supercritical raises the
+    lower end."""
+    lo, hi = 0.0, 1.0
+    probes = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        res = fresh_probe_point(model, n, mid, trials, rngmod.derive(seed, 1000 + len(probes)))
+        probes.append(res)
+        if res.classification == SUPER:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, probes
+
+
+def coupled_crossings_by_level(model, n, depth, seed):
+    """(g, s) of one coupled threshold trial, from labelling its sample at
+    every level m = 1 .. 2^depth - 1 of the grid: the masks are cut from
+    the trial's uniforms with `percolate`'s own rule at p = m / 2^depth
+    (the ring of nonhom stays at p1).  g is the lowest level whose largest
+    component is a giant (2^depth if none), s the highest whose largest
+    component is small (0 if none)."""
+    gp, _ = model.percolated(n, 0.5, seed)
+    scale = 1 << depth
+    kinds = []
+    for m in range(1, scale):
+        p = m / scale
+        cut = _retain(gp.base, gp.uniforms, model.p1 if model.name == "nonhom" else p, p)
+        _, sizes = component_labels(cut)
+        kinds.append(classify_largest(int(sizes.max()), n))
+    giant = min((m for m, kind in enumerate(kinds, 1) if kind == SUPER), default=scale)
+    small = max((m for m, kind in enumerate(kinds, 1) if kind == SUB), default=0)
+    return giant, small

@@ -9,7 +9,7 @@ from percolab.analysis import (
     SUB,
     SUPER,
     ModelSpec,
-    classify_median,
+    classify_largest,
     critical_p_bounded_degree,
     critical_p_matching,
     critical_p_swg,
@@ -20,7 +20,9 @@ from percolab.analysis import (
     scaling_study,
     survival_from_single_source,
 )
-from percolab.rng import Seed
+from percolab.rng import Seed, derive
+
+from .oracles import coupled_crossings_by_level, fresh_probe_point, fresh_threshold_bisection
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +88,14 @@ def test_critical_r0():
 
 def test_classifier_regions():
     n = 100_000
-    assert classify_median(0.5 * n, n) == SUPER
-    assert classify_median(10.0, n) == SUB
-    assert classify_median(1000.0, n) == AMBIGUOUS
+    assert classify_largest(0.5 * n, n) == SUPER
+    assert classify_largest(10.0, n) == SUB
+    assert classify_largest(1000.0, n) == AMBIGUOUS
+    # a grid level needs a majority of 30 trials, 16, either way
+    assert probe_point(0.5, 16, 0, 30).classification == SUPER
+    assert probe_point(0.5, 0, 16, 30).classification == SUB
+    assert probe_point(0.5, 15, 15, 30).classification == AMBIGUOUS
+    assert probe_point(0.5, 3, 0, 5).classification == SUPER
 
 
 def test_model_spec_validation():
@@ -101,9 +108,9 @@ def test_model_spec_validation():
 
 def test_probe_point_extremes():
     spec = ModelSpec("swg", c=1.0)
-    high = probe_point(spec, 2000, 0.95, 5, Seed(1))
+    high = fresh_probe_point(spec, 2000, 0.95, 5, Seed(1))
     assert high.classification == SUPER
-    low = probe_point(spec, 2000, 0.05, 5, Seed(2))
+    low = fresh_probe_point(spec, 2000, 0.05, 5, Seed(2))
     assert low.classification == SUB
 
 
@@ -128,11 +135,11 @@ class _InlinePool:
 
 def test_pool_asks_for_no_more_workers_than_calls(monkeypatch):
     spec = ModelSpec("swg", c=1.0)
-    serial = probe_point(spec, 2000, 0.5, 3, Seed(4))
+    serial = fresh_probe_point(spec, 2000, 0.5, 3, Seed(4))
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "requested", [])
-    assert probe_point(spec, 2000, 0.5, 3, Seed(4), jobs=64) == serial
-    probe_point(spec, 2000, 0.5, 5, Seed(4), jobs=2)
+    assert fresh_probe_point(spec, 2000, 0.5, 3, Seed(4), jobs=64) == serial
+    fresh_probe_point(spec, 2000, 0.5, 5, Seed(4), jobs=2)
     assert _InlinePool.requested == [3, 2]
 
 
@@ -140,7 +147,7 @@ def test_cycle_model_largest_component_law():
     # on a percolated ring the largest component is the longest retained
     # run + 1; medians should sit near ln n / ln(1/p)
     spec = ModelSpec("cycle")
-    res = probe_point(spec, 100_000, 0.5, 20, Seed(3))
+    res = fresh_probe_point(spec, 100_000, 0.5, 20, Seed(3))
     assert res.classification == SUB
     assert 10 < res.median_largest < 30  # ln(1e5)/ln 2 ~ 16.6
 
@@ -173,8 +180,38 @@ def test_estimate_threshold_deterministic():
     a = estimate_threshold(spec, 10_000, 8, 0.05, Seed(11))
     b = estimate_threshold(spec, 10_000, 8, 0.05, Seed(11))
     assert (a.p_low, a.p_high) == (b.p_low, b.p_high)
-    assert [(r.p, r.median_largest) for r in a.probes] == \
-           [(r.p, r.median_largest) for r in b.probes]
+    assert a.probes == b.probes
+
+
+_MODELS = [ModelSpec("swg", c=1.0), ModelSpec("matching"), ModelSpec("cycle"),
+           ModelSpec("nonhom", c=1.0, p1=0.5), ModelSpec("regular", d=3)]
+
+
+@pytest.mark.parametrize("spec", _MODELS, ids=[spec.name for spec in _MODELS])
+def test_coupled_crossings_match_labelling_every_level(spec):
+    # theta * n lies above 8 ln n at n = 4000 and below it at n = 1500,
+    # where a giant also counts as no small component
+    for n, depth in ((4000, 6), (4000, 3), (1500, 5)):
+        for i in range(4):
+            seed = derive(Seed(31), i)
+            assert analysis._trial_crossings(spec, n, depth, seed) == \
+                coupled_crossings_by_level(spec, n, depth, seed)
+
+
+def test_estimate_threshold_does_not_depend_on_jobs(monkeypatch):
+    spec = ModelSpec("swg", c=1.0)
+    serial = estimate_threshold(spec, 5000, 5, 0.05, Seed(21))
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    assert estimate_threshold(spec, 5000, 5, 0.05, Seed(21), jobs=2) == serial
+    assert _InlinePool.requested == [2]
+
+
+def test_coupled_bracket_agrees_with_the_fresh_sample_bisection():
+    for spec, seed in ((ModelSpec("swg", c=1.0), Seed(22)), (ModelSpec("matching"), Seed(23))):
+        est = estimate_threshold(spec, 20_000, 10, 0.05, seed)
+        lo, hi, _ = fresh_threshold_bisection(spec, 20_000, 10, 0.05, seed)
+        assert abs(est.midpoint - 0.5 * (lo + hi)) <= 0.05
 
 
 def test_scaling_study_shapes_and_order():
@@ -198,7 +235,7 @@ def test_scaling_study_diameter_cap_flag():
 
 def test_zero_trials_are_refused():
     spec = ModelSpec("swg", c=1.0)
-    for call in (lambda: probe_point(spec, 2000, 0.5, 0, Seed(1)),
+    for call in (lambda: fresh_probe_point(spec, 2000, 0.5, 0, Seed(1)),
                  lambda: estimate_threshold(spec, 5000, 0, 0.05, Seed(1)),
                  lambda: scaling_study(spec, 0.3, [64], 0, Seed(1)),
                  lambda: survival_from_single_source(spec, 0.5, 2000, 0, Seed(1))):
@@ -210,6 +247,13 @@ def test_survival_from_single_source_extremes():
     spec = ModelSpec("swg", c=1.0)
     assert survival_from_single_source(spec, 1.0, 2000, 10, Seed(14)) == 1.0
     assert survival_from_single_source(spec, 0.0, 2000, 10, Seed(15)) == 0.0
+
+
+def test_survival_from_single_source_refuses_k_below_one():
+    spec = ModelSpec("swg", c=1.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            survival_from_single_source(spec, 0.1, 2000, 4, Seed(17), k=k)
 
 
 def test_survival_from_single_source_supercritical():
@@ -225,30 +269,39 @@ def test_survival_from_single_source_supercritical():
 # ---------------------------------------------------------------------------
 
 _PINNED_STUDIES = [
-    # model, survival p, probe medians at p = 0.3 and 0.7,
-    # scaling (median size, median diameter) at n = 1024 and 2048, survival
+    # model, survival p, fresh-sample probe medians at p = 0.3 and 0.7,
+    # scaling (median size, median diameter) at n = 1024 and 2048, survival,
+    # threshold bracket at n = 2000 with (giant, small) trials per probe
     (ModelSpec("swg", c=1.0), 0.45, (20.0, 892.0),
-     ((719.0, 38.0), (1464.0, 41.0)), 0.25),
+     ((719.0, 38.0), (1464.0, 41.0)), 0.25,
+     (0.3125, 0.34375, ((5, 0), (0, 5), (5, 0), (1, 4), (3, 2)))),
     (ModelSpec("matching"), 0.55, (15.0, 948.0),
-     ((714.0, 54.0), (1471.0, 77.0)), 0.625),
+     ((714.0, 54.0), (1471.0, 77.0)), 0.625,
+     (0.40625, 0.4375, ((5, 0), (0, 5), (2, 3), (5, 0), (2, 3)))),
     (ModelSpec("cycle"), 0.995, (8.0, 17.0),
-     ((15.0, 14.0), (14.0, 13.0)), 0.9375),
+     ((15.0, 14.0), (14.0, 13.0)), 0.9375,
+     (0.84375, 0.875, ((0, 5), (0, 5), (4, 1), (0, 5), (0, 5)))),
     (ModelSpec("nonhom", c=1.0, p1=0.5), 0.4, (48.0, 669.0),
-     ((626.0, 37.0), (1146.0, 54.0)), 0.3125),
+     ((626.0, 37.0), (1146.0, 54.0)), 0.3125,
+     (0.1875, 0.21875, ((5, 0), (4, 1), (2, 3), (2, 3), (4, 1)))),
     (ModelSpec("regular", d=3), 0.55, (15.0, 943.0),
-     ((772.0, 62.0), (1522.0, 68.0)), 0.6875),
+     ((772.0, 62.0), (1522.0, 68.0)), 0.6875,
+     (0.375, 0.40625, ((5, 0), (0, 5), (0, 5), (5, 0), (3, 2)))),
 ]
 
 
 @pytest.mark.parametrize("index", range(len(_PINNED_STUDIES)),
                          ids=[spec.name for spec, *_ in _PINNED_STUDIES])
 def test_study_results_are_pinned(index):
-    spec, surv_p, medians, scaling, survival = _PINNED_STUDIES[index]
+    spec, surv_p, medians, scaling, survival, threshold = _PINNED_STUDIES[index]
     seed = Seed(7919 + index)
-    probes = [probe_point(spec, 1024, p, 5, seed) for p in (0.3, 0.7)]
+    probes = [fresh_probe_point(spec, 1024, p, 5, seed) for p in (0.3, 0.7)]
     assert tuple(r.median_largest for r in probes) == medians
     rows = scaling_study(spec, 0.6, [1024, 2048], 3, seed)
     assert tuple((r.median_max_component, r.median_giant_diameter)
                  for r in rows) == scaling
     assert not any(r.diameter_skipped for r in rows)
     assert survival_from_single_source(spec, surv_p, 1024, 16, seed) == survival
+    est = estimate_threshold(spec, 2000, 5, 0.05, seed)
+    assert (est.p_low, est.p_high,
+            tuple((r.giant_trials, r.small_trials) for r in est.probes)) == threshold

@@ -510,6 +510,10 @@ def test_diameter_rejects_disconnected_input():
     gp = percolate(g, 0.0, 0.0, rng)
     with pytest.raises(ValueError):
         component_diameter(gp, {0, 5})
+    ring = percolate(sample_swg_erdos(10, 0.0, rng), 1.0, 1.0, rng)
+    for nodes in ([-1, 0], [9, 10], [0, 1, 1]):
+        with pytest.raises(ValueError, match="lie in|twice"):
+            component_diameter(ring, nodes)
 
 
 def test_diameter_singleton_is_zero():
