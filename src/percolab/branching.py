@@ -213,11 +213,13 @@ def run_gw(law: OffspringLaw, b0: int, max_steps: int,
 
 def extinction_probability(law: OffspringLaw, tol: float = 1e-12,
                            max_iter: int = 10_000_000) -> float:
-    """Smallest fixed point of the pgf in [0, 1], by iteration from 0.
-
-    Analytic oracle for survival-frequency tests: independent of any
-    simulation path.
+    """Smallest fixed point of the pgf in [0, 1], by iteration from 0; at
+    mean <= 1 it is exactly 1 (unless W = 1 surely), where the iteration
+    would creep up like 1/t and stop short.  Analytic oracle for
+    survival-frequency tests: independent of any simulation path.
     """
+    if law.mean() <= 1 and law.pgf(0.0) > 0:
+        return 1.0
     s = 0.0
     for _ in range(max_iter):
         nxt = law.pgf(s)

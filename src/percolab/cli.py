@@ -28,6 +28,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import chain
 
 import click
@@ -327,10 +328,12 @@ _VISITS = {
 @_command("visit.csv")
 def visit(p, seed):
     """Percolate and run one of the exploration algorithms."""
-    if p["source"] is not None and p["algorithm"] in ("search", "matching-search"):
-        raise ValueError(f"--algorithm {p['algorithm']} starts from the smallest "
-                         "node outside D and takes no --source")
-    if p["source"] is None:
+    if p["algorithm"] in ("search", "matching-search"):
+        if p["source"] is not None:
+            raise ValueError(f"--algorithm {p['algorithm']} starts from the smallest "
+                             "node outside D and takes no --source")
+        del p["source"]  # so the manifest records none
+    elif p["source"] is None:
         p["source"] = 0  # the manifest records the default, as it always has
     g = _load_graph(p["graph_path"])
     if not isinstance(g, graphs.SmallWorldGraph):
@@ -338,7 +341,7 @@ def visit(p, seed):
     gp = _percolate(g, p, seed)
     cfg = visits.VisitConfig(L=p["truncation"], k=p["density_k"],
                              beta=p["beta"], beta_prime=p["beta_prime"])
-    trace = _VISITS[p["algorithm"]](g, gp, p["source"], cfg)
+    trace = _VISITS[p["algorithm"]](g, gp, p.get("source"), cfg)
     k = len(trace.rounds)
     rounds = np.fromiter(chain.from_iterable(trace.rounds), dtype=np.int64, count=3 * k)
     rows = np.column_stack([np.arange(k), rounds.reshape(k, 3)])
@@ -506,16 +509,13 @@ def equivalence(p, seed):
     g = _load_graph(p["graph_path"])
     i0 = set(p["source"])
     cfg = epidemic.EpidemicConfig(p=p["p"])
-    rf_law = {}
-    rng = derive(seed, 0).generator()
-    for _ in range(p["trials"]):
-        trace = epidemic.run_rf(g, i0, cfg, rng)
-        rf_law[trace.final_size] = rf_law.get(trace.final_size, 0) + 1
+    sizes, _ = epidemic.simulate_many(g, i0, cfg, p["trials"], derive(seed, 0).generator())
+    rf_law = Counter(sizes.tolist())
     size_law, _ = epidemic.percolation_reachability_law(
         g, i0, p["p"], p["p"], p["trials"], derive(seed, 1).generator())
     rows = [f"epidemic_vs_percolation,{epidemic.total_variation(rf_law, size_law):.6f}"]
     exact = None
-    if len(list(g.edges())) <= 22:
+    if g.num_edges <= 22:
         exact = epidemic.exact_final_size_law(g, i0, cfg)
         rows.append(f"epidemic_vs_exact,{epidemic.total_variation(rf_law, exact):.6f}")
         rows.append(f"percolation_vs_exact,{epidemic.total_variation(size_law, exact):.6f}")

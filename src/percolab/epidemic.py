@@ -5,9 +5,11 @@ transmit to each susceptible neighbor v with probability p(e) independently.
 Transmission randomness is consumed in a canonical order (round-major, edges
 sorted by endpoints), so traces replay exactly from a seed and the k=1
 multi-attempt process produces bit-identical traces to the single-shot run.
-A step with few infectious nodes finds its new cases node by node; a larger
-one does it with numpy on the CSR arrays, from the same keys and the same
-coins, so the traces do not depend on which step ran.
+One array core runs a block of independent runs on one graph: each step
+sorts the attempt keys of every run, prefixed by the run, and draws one
+coin per key.  A single run is the block of one.  Blocks hold
+max(1, 2^17 // n) runs, so the streams of a batch of runs depend only on n
+(and on the number of runs, which can cut the last block short).
 """
 
 from __future__ import annotations
@@ -96,16 +98,15 @@ class EpidemicConfig:
             return self.p_bridge
         return self.p_local
 
-    def draw_incubations(self, rng: np.random.Generator, m: int) -> list:
-        """Incubation periods of m newly infected nodes, in order; one
-        vector draw gives the same stream as m scalar draws."""
-        if self.incubation is None:
-            return [0] * m
+    def draw_incubations(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Incubation periods of m newly infected nodes, in order, under the
+        configured law; one vector draw gives the same stream as m scalar
+        draws."""
         kind, param = self.incubation
         if kind == "fixed":
-            return [int(param)] * m
+            return np.full(m, param, dtype=np.int64)
         # numpy geometric counts trials until success; shift to failures
-        return (rng.geometric(param, size=m) - 1).tolist()
+        return rng.geometric(param, size=m) - 1
 
 
 @dataclass
@@ -149,6 +150,13 @@ class EpidemicTrace:
 # core simulator
 # ---------------------------------------------------------------------------
 
+# A block of trials draws at most this many uniforms at once (1 MB of
+# float64), labels at most this many nodes and holds at most this many
+# (trial, node) states: the fixture's trials share a few blocks, and each
+# trial on an n = 2e5 graph is a block of its own.
+_BLOCK_SIZE = 2 ** 17
+
+
 def _initial_nodes(g, I0) -> list:
     """The distinct initially-infectious nodes, sorted; refuses an empty set
     and nodes outside [0, n)."""
@@ -160,156 +168,140 @@ def _initial_nodes(g, I0) -> list:
     return I0
 
 
-# Frontiers of fewer infectious nodes take the per-node step, where numpy's
-# fixed cost per call outweighs the loop (measured in _simulate on n = 2e5
-# swg and matching graphs and the six-node fixture, see CHANGES.md).
-_ARRAY_STEP_MIN = 32
-
-
 def _keys_fit_int64(n: int) -> bool:
     """True iff every attempt key ((min*n + max)*2 + kind)*2 + direction,
     which is below 4n^2, fits an int64."""
     return 4 * n * n <= 2 ** 63
 
 
-def _attempt_keys(u: np.ndarray, v: np.ndarray, n: int, kind_bit: int) -> np.ndarray:
-    """Keys of the attempts u[i] -> v[i], as the per-node step of
-    `_simulate` builds them; `kind_bit` is 0 for bridges (B) and 2 for ring
-    or plain edges (R)."""
+def _attempt_table(g, cfg: EpidemicConfig) -> tuple:
+    """(indptr, w, targets, keys, probabilities) of every attempt u -> v
+    along an edge of `g`: entries indptr[u]:indptr[u + 1] are u's CSR row,
+    and a ring-based graph adds w = 2 entries per node, u -> u - 1 at m + u
+    and u -> u + 1 at m + n + u (m = CSR length).  An attempt along an edge
+    of kind bit c (0 for a bridge B, 1 for a ring or plain edge R) is keyed
+    ((min*n + max)*2 + c)*2 + [v is the max], so sorting the keys sorts the
+    attempts by edge endpoints, B before R."""
+    n = g.n
+    if not _keys_fit_int64(n):
+        raise ValueError(f"n = {n} is too large for int64 attempt keys")
+    ring = not isinstance(g, GenericGraph)
+    adj = g.bridge_adjacency() if ring else g.adjacency()
+    node = np.arange(n)
+    u, v = np.repeat(node, np.diff(adj.indptr)), adj.indices
+    c = np.full(len(v), 0 if ring else 1)
+    if ring:
+        u = np.concatenate([u, node, node])
+        v = np.concatenate([v, (node - 1) % n, (node + 1) % n])
+        c = np.concatenate([c, np.ones(2 * n, dtype=np.int64)])
     up = u < v
     lo = np.where(up, u, v)
-    return (lo * n + (u + v - lo)) * 4 + kind_bit + up
+    keys = ((lo * n + (u + v - lo)) * 2 + c) * 2 + up
+    if cfg.p_map is None:
+        probs = np.where(c == 1, cfg.edge_prob(0, 1, "R"), cfg.edge_prob(0, 1, "B"))
+    else:
+        probs = np.array([cfg.edge_prob(a, b, "R") for a, b in zip(u.tolist(), v.tolist())],
+                         dtype=float)
+    return adj.indptr, 2 if ring else 0, v, keys, probs
 
 
-def _array_cases(frontier: np.ndarray, n: int, adj, ring: bool, kind_bit: int,
-                 p_kind: tuple, susceptible: np.ndarray,
-                 rng: np.random.Generator) -> list:
-    """This step's new cases, sorted, from the infectious nodes `frontier`:
-    the per-node step of `_simulate` on arrays.  It builds the same attempt
-    keys, sorts them (so the order of `frontier` does not matter), draws one
-    coin per key in key order and marks the cases in `susceptible`."""
-    starts = adj.indptr[frontier]
-    sizes = adj.indptr[frontier + 1] - starts
-    # row positions of every neighbour: each row's start plus its rank in it
-    pos = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-    u, v = np.repeat(frontier, sizes), adj.indices[pos]
-    live = susceptible[v] != 0
-    keys = [_attempt_keys(u[live], v[live], n, kind_bit)]
-    if ring:
-        u = np.concatenate([frontier, frontier])
-        v = np.concatenate([(frontier - 1) % n, (frontier + 1) % n])
-        live = susceptible[v] != 0
-        keys.append(_attempt_keys(u[live], v[live], n, 2))
-    keys = np.sort(np.concatenate(keys))
-    if not len(keys):
-        return []
-    pair = keys >> 2
-    targets = np.where(keys & 1, pair % n, pair // n)
-    hit = rng.random(len(keys)) < np.where(keys & 2, p_kind[1], p_kind[0])
-    newly = np.unique(targets[hit])
-    susceptible[newly] = 0
-    return newly.tolist()
+def _run_block(table: tuple, I0: list, cfg: EpidemicConfig, block: int,
+               rng: np.random.Generator, max_steps: Optional[int] = None) -> tuple:
+    """`block` independent runs from I0 on the graph of `table`, node v of
+    run b being state b*n + v.  Each step keys the attempts of every run by
+    run*4n^2 plus the edge key, sorts them and draws one coin per key in key
+    order; a node that several attempts reach still uses every coin.
+    Incubation periods come from a stream spawned on the first new case, one
+    vector draw per step in (run, node) order.  Returns (history,
+    susceptible, truncated): history[t] holds the (S, E, I, R) counts of
+    every run after step t, and truncated says the step cap stopped a run."""
+    indptr, w, targets, keys, probs = table
+    n = len(indptr) - 1
+    if max_steps is None:
+        max_steps = 2 * n + 10
+    ring_entries = len(targets) - w * n + n * np.arange(w)[:, None]  # node 0's; u's are + u
+    infectious = (np.arange(block)[:, None] * n + I0).ravel()
+    age = np.zeros(len(infectious), dtype=np.int64)
+    exposed = countdown = np.zeros(0, dtype=np.int64)
+    susceptible = np.ones(block * n, dtype=np.uint8)
+    susceptible[infectious] = 0
+    s, r = np.full(block, n - len(I0)), np.zeros(block, dtype=np.int64)
+    history = [(s, r, np.full(block, len(I0)), r)]  # E and R start empty
+    inc_rng = None  # spawned lazily so edge randomness matches the plain run
+    t = 0
+    while (len(infectious) or len(exposed)) and t < max_steps:
+        t += 1
+        node = infectious % n
+        starts = indptr[node]
+        sizes = indptr[node + 1] - starts
+        # each row's entries are its start plus their rank in it
+        entry = np.concatenate([
+            np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes),
+            (ring_entries + node).ravel()])
+        offset = np.concatenate([np.repeat(infectious - node, sizes),
+                                 np.tile(infectious - node, w)])
+        target = offset + targets[entry]
+        live = susceptible[target] != 0
+        entry, offset, target = entry[live], offset[live], target[live]
+        coins = np.empty(len(entry))
+        coins[np.argsort(offset * (4 * n) + keys[entry])] = rng.random(len(entry))
+        newly = np.sort(target[coins < probs[entry]])
+        newly = newly[np.diff(newly, prepend=-1) != 0]
+        susceptible[newly] = 0
+        # state transitions: existing exposed nodes count down first, so a
+        # node infected this round waits a full h steps in E
+        countdown = countdown - 1
+        ready = countdown == 0
+        h = np.zeros(len(newly), dtype=np.int64)
+        if len(newly) and cfg.incubation is not None:
+            if inc_rng is None:
+                inc_rng = rng.spawn(1)[0]
+            h = cfg.draw_incubations(inc_rng, len(newly))
+        infectious = np.concatenate([infectious, exposed[ready], newly[h == 0]])
+        age = np.concatenate([age, np.full(len(infectious) - len(age), -1)]) + 1
+        exposed = np.concatenate([exposed[~ready], newly[h > 0]])
+        countdown = np.concatenate([countdown[~ready], h[h > 0]])
+        done = age >= cfg.k_attempts
+        s = s - np.bincount(newly // n, minlength=block)
+        r = r + np.bincount(infectious[done] // n, minlength=block)
+        infectious, age = infectious[~done], age[~done]
+        e = np.bincount(exposed // n, minlength=block)
+        i = np.bincount(infectious // n, minlength=block)
+        if np.any(s + e + i + r != n):
+            raise RuntimeError(f"step {t}: S+E+I+R is not n = {n} in every run")
+        history.append((s, e, i, r))
+    return np.array(history), susceptible, bool(len(infectious) or len(exposed))
 
 
 def _simulate(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
               max_steps: Optional[int] = None) -> EpidemicTrace:
-    n = g.n
-    I0 = _initial_nodes(g, I0)
-    ring = not isinstance(g, GenericGraph)
-    adj = g.bridge_adjacency() if ring else g.adjacency()
-    kind_bit = 0 if ring else 2   # adjacency edges are bridges (B) or plain (R)
-    if max_steps is None:
-        max_steps = 2 * n + 10
-    p_map = cfg.p_map
-    if p_map is not None:
-        for u, v, kind in g.edges():  # refuse a map that lacks an edge up front
-            cfg.edge_prob(u, v, kind)
-    # per-attempt probability by kind bit (0 = B, 1 = R), unless p_map is set
-    p_kind = None if p_map is not None else (cfg.edge_prob(0, 1, "B"),
-                                             cfg.edge_prob(0, 1, "R"))
-    arrays = p_kind is not None and _keys_fit_int64(n)
-    inc_rng = None  # spawned lazily so edge randomness matches the plain run
+    """One run, the block of one of `_run_block`."""
+    history, susceptible, truncated = _run_block(
+        _attempt_table(g, cfg), _initial_nodes(g, I0), cfg, 1, rng, max_steps)
+    counts = list(map(tuple, history[:, :, 0].tolist()))
+    return EpidemicTrace(counts, set(np.flatnonzero(susceptible == 0).tolist()),
+                         len(counts) - 1, truncated)
 
-    k = cfg.k_attempts
-    susceptible = bytearray(b"\x01") * n
-    for v in I0:
-        susceptible[v] = 0
-    # made on first use: the Python CSR for the per-node step, and the array
-    # view of `susceptible` (which then must not resize) for the array step
-    indptr = indices = susceptible_view = None
-    exposed: dict = {}                    # node -> remaining incubation steps
-    infectious = dict.fromkeys(I0, 0)     # node -> completed attempts
-    reached = list(I0)
-    n_s, n_r = n - len(I0), 0
-    counts = [(n_s, 0, len(I0), 0)]
-    t = 0
-    while (infectious or exposed) and t < max_steps:
-        t += 1
-        if arrays and len(infectious) >= _ARRAY_STEP_MIN:
-            if susceptible_view is None:
-                susceptible_view = np.frombuffer(susceptible, dtype=np.uint8)
-            frontier = np.fromiter(infectious, dtype=np.int64, count=len(infectious))
-            newly = _array_cases(frontier, n, adj, ring, kind_bit, p_kind,
-                                 susceptible_view, rng)
-        else:
-            if indptr is None:
-                indptr, indices = adj.lists()
-            # transmissions in canonical order: an attempt u -> v along an
-            # edge of kind bit c is keyed ((min*n + max)*2 + c)*2 + [v is the
-            # max], so sorting the keys sorts by edge endpoints, B before R
-            attempts = []
-            for u in sorted(infectious):
-                if ring:
-                    for v in ((u - 1) % n, (u + 1) % n):
-                        if susceptible[v]:
-                            attempts.append((u * n + v) * 4 + 3 if u < v else (v * n + u) * 4 + 2)
-                for v in indices[indptr[u]:indptr[u + 1]]:
-                    if susceptible[v]:
-                        attempts.append((u * n + v) * 4 + 1 + kind_bit if u < v
-                                        else (v * n + u) * 4 + kind_bit)
-            newly = []
-            if attempts:
-                attempts.sort()
-                # one coin per attempt, drawn in attempt order; a node already
-                # infected this round by a lower-sorted edge still uses its coin
-                for key, coin in zip(attempts, rng.random(len(attempts)).tolist()):
-                    pair = key >> 2
-                    v = pair % n if key & 1 else pair // n
-                    if not susceptible[v]:
-                        continue
-                    p = p_kind[(key >> 1) & 1] if p_map is None else p_map[divmod(pair, n)]
-                    if coin < p:
-                        susceptible[v] = 0
-                        newly.append(v)
-            newly.sort()
-        # state transitions: existing exposed nodes count down first, so a
-        # node infected this round waits a full h steps in E
-        for v in list(exposed):
-            exposed[v] -= 1
-            if exposed[v] == 0:
-                del exposed[v]
-                infectious[v] = -1  # becomes age 0 below
-        if newly:
-            if cfg.incubation is not None and inc_rng is None:
-                inc_rng = rng.spawn(1)[0]
-            for v, h in zip(newly, cfg.draw_incubations(inc_rng, len(newly))):
-                if h > 0:
-                    exposed[v] = h
-                else:
-                    infectious[v] = -1
-            n_s -= len(newly)
-            reached += newly
-        for v in list(infectious):
-            age = infectious[v] + 1
-            if age >= k:
-                del infectious[v]
-                n_r += 1
-            else:
-                infectious[v] = age
-        counts.append((n_s, len(exposed), len(infectious), n_r))
-        if sum(counts[-1]) != n:
-            raise RuntimeError(f"step {t}: S+E+I+R = {sum(counts[-1])}, not n = {n}")
-    return EpidemicTrace(counts, set(reached), t, bool(infectious or exposed))
+
+def simulate_many(g, I0, cfg: EpidemicConfig, trials: int,
+                  rng: np.random.Generator) -> tuple:
+    """`trials` independent runs from I0, stepping together in blocks of
+    max(1, 2^17 // n) runs (`_run_block`), so the block streams depend only
+    on n; one trial replays `_simulate` coin for coin.  Returns each trial's
+    reached-set size and a (trials x steps) array of its |I_t|, zero after
+    it stops."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    I0, n = _initial_nodes(g, I0), g.n
+    table = _attempt_table(g, cfg)
+    block = max(1, _BLOCK_SIZE // n)
+    blocks = [_run_block(table, I0, cfg, min(block, trials - done), rng)[0]
+              for done in range(0, trials, block)]
+    steps = max(len(history) for history in blocks)
+    sizes = np.concatenate([n - history[-1, 0] for history in blocks])
+    infectious = np.concatenate([np.pad(history[:, 2].T, ((0, 0), (0, steps - len(history))))
+                                 for history in blocks])
+    return sizes, infectious
 
 
 def run_rf(g, I0, cfg: EpidemicConfig, rng: np.random.Generator,
@@ -368,12 +360,6 @@ def run_rf_coupled(g, I0, p_values, rng: np.random.Generator) -> list:
 # ---------------------------------------------------------------------------
 # percolation equivalence harness
 # ---------------------------------------------------------------------------
-
-# A block of trials draws at most this many uniforms at once (1 MB of
-# float64) and labels at most this many nodes: the fixture's trials share
-# a few blocks, and each trial on an n = 2e5 graph is a block of its own.
-_BLOCK_SIZE = 2 ** 17
-
 
 def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
                                  trials: int, rng: np.random.Generator):
@@ -438,9 +424,9 @@ def exact_final_size_law(g, I0, cfg: EpidemicConfig) -> dict:
     Only feasible for fixture-sized graphs; the simulators are tested
     against it via total-variation distance.
     """
-    edges = [(u, v, kind) for u, v, kind in g.edges()]
-    if len(edges) > 22:
+    if g.num_edges > 22:
         raise ValueError("enumeration oracle limited to small graphs")
+    edges = list(g.edges())
     I0 = set(I0)
     n = g.n
     law: dict = {}

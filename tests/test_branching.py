@@ -144,6 +144,16 @@ def test_extinction_probability_oracle_known_value():
     assert extinction_probability(Binomial(2, 0.4)) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_extinction_is_exactly_certain_at_criticality():
+    # mean 1: the iteration from 0 would stop about 2e-6 short of 1
+    for law in (Binomial(2, 0.5), Binomial(3, 1 / 3)):
+        assert law.mean() == 1 and extinction_probability(law) == 1.0
+    # the point mass at 1 never dies out
+    assert extinction_probability(Binomial(1, 1.0)) == 0.0
+    # a supercritical law still iterates to the value it always had
+    assert extinction_probability(Binomial(3, 0.4)) == 0.5571891388266712
+
+
 def test_survival_matches_fixed_point_oracle():
     law = Binomial(3, 0.4)  # mean 1.2
     trials = 10_000

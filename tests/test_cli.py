@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from percolab.cli import main
-from percolab.graphs import load_edge_list, percolate
+from percolab.graphs import SmallWorldGraph, load_edge_list, percolate
 from percolab.rng import Seed
 from percolab.visits import plain_bfs
 
@@ -205,6 +205,24 @@ def test_equivalence_report(runner, tmp_path):
     assert all(v < 0.05 for v in tvs.values())
 
 
+def test_equivalence_skips_the_exact_oracle_without_listing_edges(runner, tmp_path,
+                                                                   monkeypatch):
+    graph = str(tmp_path / "g.edges")
+    res = runner.invoke(main, ["generate", "--model", "swg", "--n", "300", "--seed", "3",
+                               "--out", graph])
+    assert res.exit_code == 0, res.output
+
+    def refuse(self):
+        raise AssertionError("edges listed")
+
+    monkeypatch.setattr(SmallWorldGraph, "edges", refuse)
+    out = tmp_path / "eq.csv"
+    res = runner.invoke(main, ["equivalence", "--graph", graph, "--p", "0.5",
+                               "--trials", "50", "--seed", "5", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(_read(str(out) + ".manifest.json"))["exact_oracle"] is False
+
+
 def test_gw_command(runner, tmp_path):
     out = tmp_path / "gw.csv"
     res = runner.invoke(main, ["gw", "--law", "binomial:3:0.4",
@@ -300,12 +318,21 @@ def test_help_prints_usage_and_exits_0(runner):
         assert res.exit_code == 0 and res.output.startswith("Usage:"), res.output
 
 
-def test_searches_run_without_a_source_and_record_the_default(runner, tmp_path):
-    out = tmp_path / "v.csv"
-    res = runner.invoke(main, ["visit", "--graph", RING, "--algorithm", "search",
-                               "--p-local", "0.5", "--seed", "1", "--out", str(out)])
+def test_searches_run_without_a_source_and_record_none(runner, tmp_path):
+    matching = str(tmp_path / "m.edges")
+    res = runner.invoke(main, ["generate", "--model", "matching", "--n", "20", "--seed", "1",
+                               "--out", matching])
     assert res.exit_code == 0, res.output
-    assert json.loads(_read(str(out) + ".manifest.json"))["params"]["source"] == 0
+    # the other visits still record the default source 0
+    for graph, algorithm, recorded in ((RING, "search", "absent"),
+                                       (matching, "matching-search", "absent"),
+                                       (RING, "union", 0)):
+        out = tmp_path / f"{algorithm}.csv"
+        res = runner.invoke(main, ["visit", "--graph", graph, "--algorithm", algorithm,
+                                   "--p-local", "0.5", "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        params = json.loads(_read(str(out) + ".manifest.json"))["params"]
+        assert params.get("source", "absent") == recorded
 
 
 @pytest.mark.parametrize("args", [

@@ -17,6 +17,7 @@ from percolab.epidemic import (
     run_rf,
     run_rf_coupled,
     run_seir,
+    simulate_many,
     total_variation,
 )
 from percolab.graphs import (
@@ -132,18 +133,25 @@ def test_partition_invariant_and_monotone_counts():
 def test_rf_final_size_matches_enumeration_oracle():
     g = fixture_graph()
     cfg = EpidemicConfig(p=0.5)
-    rng = Seed(3).generator()
-    law = Counter(run_rf(g, {0}, cfg, rng).final_size for _ in range(30_000))
+    sizes, _ = simulate_many(g, {0}, cfg, 30_000, Seed(3).generator())
+    law = Counter(sizes.tolist())
     exact = exact_final_size_law(g, {0}, cfg)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     assert total_variation(law, exact) < 0.015
 
 
-def test_oracle_refuses_large_graphs():
-    rng = Seed(0).generator()
-    g = sample_swg_erdos(100, 1.0, rng)
-    with pytest.raises(ValueError):
-        exact_final_size_law(g, {0}, EpidemicConfig(p=0.5))
+def test_oracle_refuses_large_graphs(monkeypatch):
+    # the edge count comes from the arrays, so no edge is listed
+    def refuse(self):
+        raise AssertionError("edges listed")
+
+    g = sample_swg_erdos(2_000, 1.0, Seed(0).generator())
+    generic = GenericGraph(30, np.arange(29), np.arange(1, 30))
+    for graph in (g, generic):
+        monkeypatch.setattr(type(graph), "edges", refuse)
+        with pytest.raises(ValueError, match="limited to small graphs"):
+            exact_final_size_law(graph, {0}, EpidemicConfig(p=0.5))
+    assert (g.num_edges, generic.num_edges) == (2_000 + g.num_bridges, 29)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +172,9 @@ def test_k_attempts_reduces_to_boosted_single_shot():
     g = fixture_graph()
     k, p = 3, 0.2
     p_hat = 1 - (1 - p) ** k
-    rng = Seed(4).generator()
-    multi = Counter(run_ic_k_attempts(g, {0}, EpidemicConfig(p=p, k_attempts=k),
-                                      rng).final_size for _ in range(30_000))
+    sizes, _ = simulate_many(g, {0}, EpidemicConfig(p=p, k_attempts=k), 30_000,
+                             Seed(4).generator())
+    multi = Counter(sizes.tolist())
     exact = exact_final_size_law(g, {0}, EpidemicConfig(p=p_hat))
     assert total_variation(multi, exact) < 0.015
 
@@ -210,8 +218,8 @@ def test_seir_path_hand_trace():
 def test_seir_final_size_invariant_to_incubation():
     g = fixture_graph()
     cfg = EpidemicConfig(p=0.5, incubation=("geometric", 1 / 3))
-    rng = Seed(7).generator()
-    law = Counter(run_seir(g, {0}, cfg, rng).final_size for _ in range(30_000))
+    sizes, _ = simulate_many(g, {0}, cfg, 30_000, Seed(7).generator())
+    law = Counter(sizes.tolist())
     exact = exact_final_size_law(g, {0}, EpidemicConfig(p=0.5))
     assert total_variation(law, exact) < 0.015
 
@@ -333,12 +341,9 @@ def test_per_step_equivalence_with_percolation_layers():
     # BFS layer size of the percolated graph, for every t
     g = fixture_graph()
     p, trials = 0.5, 30_000
-    rng = Seed(10).generator()
-    per_t_epi = [Counter() for _ in range(6)]
-    for _ in range(trials):
-        sizes = run_rf(g, {0}, EpidemicConfig(p=p), rng).infectious_sizes()
-        for t in range(6):
-            per_t_epi[t][sizes[t] if t < len(sizes) else 0] += 1
+    _, infectious = simulate_many(g, {0}, EpidemicConfig(p=p), trials, Seed(10).generator())
+    infectious = np.pad(infectious, ((0, 0), (0, 6)))
+    per_t_epi = [Counter(infectious[:, t].tolist()) for t in range(6)]
     _, layer_law = percolation_reachability_law(g, {0}, p, p, trials,
                                                 derive(Seed(10), 1).generator())
     for t in range(6):
@@ -388,31 +393,8 @@ def test_traces_are_bit_identical_to_the_set_based_simulator():
                 assert a_rng.random() == b_rng.random()  # same coins consumed
 
 
-def _count_array_steps(monkeypatch, crossover=None) -> list:
-    """Set the array step's crossover (if given) and count its calls."""
-    if crossover is not None:
-        monkeypatch.setattr(epidemic, "_ARRAY_STEP_MIN", crossover)
-    calls = []
-    array_cases = epidemic._array_cases
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return array_cases(*args)
-
-    monkeypatch.setattr(epidemic, "_array_cases", counted)
-    return calls
-
-
-def test_array_step_traces_are_bit_identical_to_the_set_based_simulator(monkeypatch):
-    # every step of a config without p_map takes the array step
-    calls = _count_array_steps(monkeypatch, crossover=1)
-    test_traces_are_bit_identical_to_the_set_based_simulator()
-    assert min(calls) == 1
-
-
 @pytest.mark.parametrize("seed", [20210331, 7919])
-def test_both_steps_match_the_set_based_simulator_on_larger_graphs(monkeypatch, seed):
-    calls = _count_array_steps(monkeypatch)
+def test_traces_match_the_set_based_simulator_on_larger_graphs(seed):
     rng = Seed(seed).generator()
     n = 20_000
     sources = [i * n // 16 for i in range(16)]
@@ -427,8 +409,6 @@ def test_both_steps_match_the_set_based_simulator_on_larger_graphs(monkeypatch, 
             assert a.counts == b.counts and a.final_recovered == b.final_recovered
             assert a.stop_time == b.stop_time
             assert a_rng.random() == b_rng.random()
-            assert 0 < len(calls) < a.stop_time  # both steps ran
-            calls.clear()
 
 
 def test_array_keys_are_refused_where_they_overflow_int64(monkeypatch):
@@ -436,19 +416,66 @@ def test_array_keys_are_refused_where_they_overflow_int64(monkeypatch):
     # largest n within it
     assert _keys_fit_int64(1518500249) and not _keys_fit_int64(1518500250)
     assert _keys_fit_int64(2) and not _keys_fit_int64(2 ** 31)
-    # a p_map config, or a graph too large for the keys, runs only the
-    # per-node step
-    calls = _count_array_steps(monkeypatch, crossover=1)
-    g = sample_swg_erdos(200, 2.0, Seed(3).generator())
-    p_map = {(u, v): 0.6 for u, v, _ in g.edges()}
-    for cfg in (EpidemicConfig(p_map=p_map), EpidemicConfig(p=0.6)):
-        if cfg.p_map is None:
-            monkeypatch.setattr(epidemic, "_keys_fit_int64", lambda n: False)
-        a_rng, b_rng = Seed(5).generator(), Seed(5).generator()
-        a = _simulate(g, {0, 100}, cfg, a_rng)
-        b = simulate_sets(g, {0, 100}, cfg, b_rng)
-        assert a.counts == b.counts and a.final_recovered == b.final_recovered
-        assert len(a.counts) > 3 and not calls
+    monkeypatch.setattr(epidemic, "_keys_fit_int64", lambda n: False)
+    g, cfg = fixture_graph(), EpidemicConfig(p=0.6)
+    with pytest.raises(ValueError, match="too large for int64 attempt keys"):
+        _simulate(g, {0}, cfg, Seed(5).generator())
+    with pytest.raises(ValueError, match="too large for int64 attempt keys"):
+        simulate_many(g, {0}, cfg, 10, Seed(5).generator())
+
+
+def _one_trial_cases():
+    rng = Seed(22).generator()
+    graphs = {"swg": sample_swg_erdos(60, 2.0, rng), "matching": sample_swg_matching(60, rng),
+              "fixture": fixture_graph()}
+    for name, g in graphs.items():
+        p_map = {(u, v): float(x) for (u, v, _), x in zip(g.edges(), rng.random(200))}
+        configs = {"rf": EpidemicConfig(p=0.45), "ic3": EpidemicConfig(p=0.3, k_attempts=3),
+                   "seir": EpidemicConfig(p=0.5, incubation=("geometric", 0.4)),
+                   "split": EpidemicConfig(p_local=0.5, p_bridge=0.9),
+                   "p_map": EpidemicConfig(p_map=p_map)}
+        for label, cfg in configs.items():
+            yield pytest.param(g, cfg, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("g, cfg", _one_trial_cases())
+def test_one_trial_of_simulate_many_replays_simulate(g, cfg):
+    for seed in range(6):
+        i0 = {seed % g.n, (5 * seed + 2) % g.n}
+        a_rng, b_rng = Seed(seed).generator(), Seed(seed).generator()
+        trace = _simulate(g, i0, cfg, a_rng)
+        sizes, infectious = simulate_many(g, i0, cfg, 1, b_rng)
+        assert sizes.tolist() == [trace.final_size]
+        assert infectious.tolist() == [trace.infectious_sizes()]
+        assert a_rng.random() == b_rng.random()
+
+
+def test_blocks_of_one_replay_consecutive_runs(monkeypatch):
+    # with one run per block, the trials are consecutive `_simulate` runs on
+    # one generator; rows of runs that stop early are padded with zeros
+    monkeypatch.setattr(epidemic, "_BLOCK_SIZE", 1)
+    g, cfg = fixture_graph(), EpidemicConfig(p=0.5, incubation=("fixed", 1))
+    a_rng, b_rng = Seed(23).generator(), Seed(23).generator()
+    traces = [_simulate(g, {0}, cfg, a_rng) for _ in range(40)]
+    sizes, infectious = simulate_many(g, {0}, cfg, 40, b_rng)
+    steps = max(len(t.counts) for t in traces)
+    assert infectious.shape == (40, steps)
+    assert sizes.tolist() == [t.final_size for t in traces]
+    assert infectious.tolist() == [t.infectious_sizes() + [0] * (steps - len(t.counts))
+                                   for t in traces]
+    assert a_rng.random() == b_rng.random()
+
+
+def test_simulate_many_at_the_extremes():
+    g = fixture_graph()
+    sizes, infectious = simulate_many(g, {0}, EpidemicConfig(p=1.0), 50_000,
+                                      Seed(24).generator())
+    assert sizes.tolist() == [5] * 50_000
+    assert infectious.tolist() == [[1, 3, 1, 0]] * 50_000
+    sizes, infectious = simulate_many(g, {0, 5}, EpidemicConfig(p=0.0), 7, Seed(24).generator())
+    assert sizes.tolist() == [2] * 7 and infectious.tolist() == [[2, 0]] * 7
+    with pytest.raises(ValueError, match="trials"):
+        simulate_many(g, {0}, EpidemicConfig(p=0.5), 0, Seed(24).generator())
 
 
 def test_step_cap_is_recorded_as_truncation():
