@@ -9,10 +9,11 @@ It adds the shared options `--out`, `--seed`, `--jobs` (threshold and
 scaling only) and `--config`; merges the config under the explicit flags,
 starts the clock and resolves the seed; then calls `body(p, seed)`, which
 returns `(header, body, extra)`, body being the CSV text below the header
-with every line ending in a newline.  It writes the header and body as the
-CSV (unless header is None: `generate` writes its own edge file) and then
-the manifest, which gains the keys of `extra`.  A body reports a bad
-parameter by raising ValueError, which the scaffold catches in one place.
+as an iterable of chunks, every line ending in a newline.  It writes the
+header and body as the CSV (unless header is None: `generate` writes its
+own edge file) and then the manifest, which gains the keys of `extra`.  A
+body reports a bad parameter by raising ValueError, which the scaffold
+catches in one place.
 
 Exit codes: 0 success; 2 parameter error, click's usage errors included,
 with exactly one JSON object on stderr; 3 scientifically-ambiguous result
@@ -92,20 +93,13 @@ def _write(path: str, chunks) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-def _write_csv(path: str, header: str, body: str, seed: Seed) -> None:
-    _write(path, [header + "\n", body, f"# seed={seed.master}\n"])
+def _write_csv(path: str, header: str, body, seed: Seed) -> None:
+    _write(path, chain([header + "\n"], body, [f"# seed={seed.master}\n"]))
 
 
-def _lines(rows) -> str:
-    """CSV text of the rows, one line each."""
-    return "".join(f"{row}\n" for row in rows)
-
-
-def _table(template: str, columns: np.ndarray) -> str:
-    """CSV text of an integer array, one line per row, from one `%` over a
-    flat tuple (as `graphs._edge_lines` formats edge lines); template holds
-    one line's format."""
-    return (template * len(columns)) % tuple(columns.ravel().tolist())
+def _lines(rows):
+    """CSV text of the rows, one chunk per line."""
+    return (f"{row}\n" for row in rows)
 
 
 def _write_manifest(out: str, command: str, params: dict, seed: Seed,
@@ -260,7 +254,7 @@ def generate(p, seed):
     except OSError as exc:
         _fail(f"cannot write {p['out']}: {exc.strerror or exc}")
     click.echo(f"wrote {p['out']}", err=True)
-    return None, "", None
+    return None, (), None
 
 
 @main.command()
@@ -276,7 +270,8 @@ def percolate(p, seed):
     # retained ring edges come first; every edge of a GenericGraph is kind R
     n_ring = len(eu) if gp.ring_active is None else int(np.count_nonzero(gp.ring_active))
     uv = np.column_stack([eu, ev])
-    return "u,v,kind", _table("%d,%d,R\n", uv[:n_ring]) + _table("%d,%d,B\n", uv[n_ring:]), None
+    return "u,v,kind", chain(graphs.format_rows("%d,%d,R\n", uv[:n_ring]),
+                             graphs.format_rows("%d,%d,B\n", uv[n_ring:])), None
 
 
 @main.command()
@@ -292,7 +287,7 @@ def components(p, seed):
     min_node = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
     rank = np.argsort(-sizes, kind="stable")
     rows = np.column_stack([np.arange(len(sizes)), sizes[rank], min_node[rank]])
-    return "component,size,min_node", _table("%d,%d,%d\n", rows), {
+    return "component,size,min_node", graphs.format_rows("%d,%d,%d\n", rows), {
         "num_components": len(sizes), "largest": int(sizes.max(initial=0))}
 
 
@@ -345,7 +340,7 @@ def visit(p, seed):
     k = len(trace.rounds)
     rounds = np.fromiter(chain.from_iterable(trace.rounds), dtype=np.int64, count=3 * k)
     rows = np.column_stack([np.arange(k), rounds.reshape(k, 3)])
-    return "round,q_size,r_size,d_size", _table("%d,%d,%d,%d\n", rows), {
+    return "round,q_size,r_size,d_size", graphs.format_rows("%d,%d,%d,%d\n", rows), {
         "terminated": trace.terminated_reason,
         "final_q": len(trace.final_q),
         "final_r": len(trace.final_r),
@@ -435,7 +430,7 @@ def gw(p, seed):
     row = (f"{est.trials},{est.fraction:.6f},{est.low:.6f},{est.high:.6f},"
            f"{law.mean():.6f},{survival_oracle:.6f}")
     return ("trials,survival,wilson_low,wilson_high,mean_offspring,oracle_survival",
-            row + "\n", None)
+            [row + "\n"], None)
 
 
 # ---------------------------------------------------------------------------

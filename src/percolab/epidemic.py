@@ -189,16 +189,16 @@ def _attempt_table(g, cfg: EpidemicConfig) -> tuple:
     adj = g.bridge_adjacency() if ring else g.adjacency()
     node = np.arange(n)
     u, v = np.repeat(node, np.diff(adj.indptr)), adj.indices
-    c = np.full(len(v), 0 if ring else 1)
+    r = len(v) if ring else 0  # the entries from r on have kind bit 1
     if ring:
         u = np.concatenate([u, node, node])
         v = np.concatenate([v, (node - 1) % n, (node + 1) % n])
-        c = np.concatenate([c, np.ones(2 * n, dtype=np.int64)])
-    up = u < v
-    lo = np.where(up, u, v)
-    keys = ((lo * n + (u + v - lo)) * 2 + c) * 2 + up
+    # each operator after the first reuses its temporary left operand
+    keys = (np.minimum(u, v) * n + np.maximum(u, v)) * 4 + (u < v)
+    keys[r:] += 2
     if cfg.p_map is None:
-        probs = np.where(c == 1, cfg.edge_prob(0, 1, "R"), cfg.edge_prob(0, 1, "B"))
+        probs = np.full(len(v), cfg.edge_prob(0, 1, "B"))
+        probs[r:] = cfg.edge_prob(0, 1, "R")
     else:
         probs = np.array([cfg.edge_prob(a, b, "R") for a, b in zip(u.tolist(), v.tolist())],
                          dtype=float)

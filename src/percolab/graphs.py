@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from collections import abc
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -37,31 +38,26 @@ class Adjacency:
 
     `indptr` and `indices` hold the CSR as int64 arrays (w's neighbours are
     indices[indptr[w]:indptr[w + 1]]), which array kernels read directly.
-    `lists()` gives the same CSR as a Python list and tuple, built on first
-    use, so per-node loops index it without numpy scalar overhead; `adj[w]`
-    reads from them.
+    `adj[w]` reads the same row through zero-copy memoryviews of the two
+    arrays, so per-node loops pay no numpy scalar overhead and no Python
+    copy of the CSR is ever built.
     """
 
-    __slots__ = ("indptr", "indices", "_lists")
+    __slots__ = ("indptr", "indices", "_indptr", "_indices")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
-        self._lists = None
-
-    def lists(self) -> tuple:
-        """(indptr, indices) as a Python list and tuple."""
-        if self._lists is None:
-            self._lists = (self.indptr.tolist(), tuple(self.indices.tolist()))
-        return self._lists
+        self._indptr = memoryview(indptr)
+        self._indices = memoryview(indices)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
     def __getitem__(self, w: int) -> tuple:
-        indptr, indices = self._lists or self.lists()
+        indptr = self._indptr
         # indptr[n + 1] raises IndexError, which ends iteration over the nodes
-        return indices[indptr[w]:indptr[w + 1]]
+        return tuple(self._indices[indptr[w]:indptr[w + 1]])
 
 
 def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
@@ -786,24 +782,32 @@ def component_diameter(gp, component) -> int:
 # edge-list text format
 # ---------------------------------------------------------------------------
 
-def _edge_lines(u: np.ndarray, v: np.ndarray, kind: str) -> str:
-    pairs = np.column_stack([u, v]).ravel().tolist()
-    return (f"%d %d {kind}\n" * len(u)) % tuple(pairs)
+# rows of text formatted and written at a time, about 200 KiB of edge lines
+_WRITE_ROWS = 2 ** 14
+
+
+def format_rows(template: str, columns: np.ndarray) -> Iterator[str]:
+    """Text of an integer array, `template` once per row, in blocks of
+    _WRITE_ROWS rows, each from one `%` over a flat tuple."""
+    for i in range(0, len(columns), _WRITE_ROWS):
+        block = columns[i:i + _WRITE_ROWS]
+        yield (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def save_edge_list(g, path) -> None:
     """One line per edge `u v kind`, header `# swg n=<n> model=<tag>`: for
     a SmallWorldGraph the n ring edges (kind R) in ring order, then the
-    bridges (kind B); for a GenericGraph every edge with kind R."""
+    bridges (kind B); for a GenericGraph every edge with kind R.  The lines
+    are formatted and written a block at a time."""
     if isinstance(g, SmallWorldGraph):
-        ring = np.arange(g.n)
-        ru, rv = np.minimum(ring, (ring + 1) % g.n), np.maximum(ring, (ring + 1) % g.n)
-        text = (f"# swg n={g.n} model={g.model_tag}\n" + _edge_lines(ru, rv, "R")
-                + _edge_lines(g.bridge_u, g.bridge_v, "B"))
+        ring = np.sort(np.column_stack([np.arange(g.n), (np.arange(g.n) + 1) % g.n]), axis=1)
+        model, parts = g.model_tag, [("R", ring), ("B", np.column_stack([g.bridge_u, g.bridge_v]))]
     else:
-        text = f"# swg n={g.n} model=generic\n" + _edge_lines(g.edge_u, g.edge_v, "R")
+        model, parts = "generic", [("R", np.column_stack([g.edge_u, g.edge_v]))]
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f"# swg n={g.n} model={model}\n")
+        for kind, uv in parts:
+            fh.writelines(format_rows(f"%d %d {kind}\n", uv))
 
 
 _SPACE = b" \t\n\v\f"
@@ -816,7 +820,8 @@ def _parse_edge_lines(body: bytes) -> tuple:
     must hold exactly three fields separated by ASCII whitespace: two
     integers and a kind, R or B.  Fields are found with array operations on
     the bytes; once the kinds are blanked out and only signed digit runs
-    remain, one `np.fromstring` call reads all the integers."""
+    remain, one `np.fromstring` call reads the block's integers.  Every
+    check is local to a line, so any block of whole lines can be parsed."""
     if b"#" in body:
         body = b"\n".join(line for line in body.split(b"\n")
                            if not line.lstrip().startswith(b"#"))
@@ -867,17 +872,28 @@ def _parse_edge_lines(body: bytes) -> tuple:
 _MAX_NODES = 2 ** 31
 
 
-def _lex_order(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """np.lexsort((v, u)) when 0 <= u, v < n, as one stable sort of u*n + v
-    (linear time on the already sorted lines that save_edge_list writes);
-    out-of-range edges are refused after sorting, so their order is moot."""
-    return np.argsort(u * n + v, kind="stable")
-
-
 def _refuse_repeats(u: np.ndarray, v: np.ndarray, what: str) -> None:
     """Raise when lexicographically sorted edge arrays hold an edge twice."""
     if np.any((np.diff(u) == 0) & (np.diff(v) == 0)):
         raise ValueError(f"{what} is listed twice")
+
+
+# bytes read at a time by load_edge_list (then on to the next line end)
+_READ_BLOCK = 2 ** 18
+
+
+def _text_blocks(fh) -> Iterator[bytes]:
+    """The bytes of `fh` in blocks that end at a line end, read as text would:
+    UTF-8 only, with \\r\\n and lone \\r ending lines."""
+    for block in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b""):
+        if not block.isascii():
+            try:
+                block.decode()
+            except UnicodeDecodeError:  # again from the start, for the file's offsets
+                end = fh.tell()
+                fh.seek(0)
+                fh.read(end).decode()
+        yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
 
 
 def load_edge_list(path):
@@ -889,42 +905,50 @@ def load_edge_list(path):
     integers u, v, an edge kind other than R or B, a node outside [0, n),
     an edge not given as u < v, a `model=matching` file in which a node has
     two bridges, a ring-based file whose R lines are not exactly the n ring
-    edges, a bridge given twice, or a `model=generic` edge given twice."""
+    edges, a bridge given twice, or a `model=generic` edge given twice.
+    The file is parsed a block at a time, keeping only a ring-based file's B
+    lines; of line faults in several blocks, the first block's is reported."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    # read as text would: UTF-8 only, with \r\n and lone \r ending lines
-    if not data.isascii():
-        data.decode()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, _, body = data.partition(b"\n")
-    header = head.decode().strip()
-    if not header.startswith("# swg "):
-        raise ValueError(f"bad header: {header!r}")
-    fields = dict(part.split("=", 1) for part in header[6:].split())
-    missing = [key for key in ("n", "model") if key not in fields]
-    if missing:
-        raise ValueError(f"header lacks {', '.join(k + '=' for k in missing)}")
-    n = int(fields["n"])
-    if not 0 <= n <= _MAX_NODES:
-        raise ValueError(f"n must lie in [0, {_MAX_NODES}]")
-    tag = fields["model"]
-    u, v, is_bridge = _parse_edge_lines(body)
+        blocks = _text_blocks(fh)
+        head, _, body = next(blocks, b"").partition(b"\n")
+        header = head.decode().strip()
+        if not header.startswith("# swg "):
+            raise ValueError(f"bad header: {header!r}")
+        fields = dict(part.split("=", 1) for part in header[6:].split())
+        missing = [key for key in ("n", "model") if key not in fields]
+        if missing:
+            raise ValueError(f"header lacks {', '.join(k + '=' for k in missing)}")
+        n = int(fields["n"])
+        if not 0 <= n <= _MAX_NODES:
+            raise ValueError(f"n must lie in [0, {_MAX_NODES}]")
+        tag = fields["model"]
+        us, vs = [], []
+        # ring edge {i, i+1 mod n} is the line `i i+1 R` (`0 n-1 R` for i = n-1)
+        ring_lines, ring_seen = 0, None
+        for body in chain([body], blocks):
+            u, v, bridge = _parse_edge_lines(body)
+            if tag != "generic" and not bridge.all():
+                ru, rv, u, v = u[~bridge], v[~bridge], u[bridge], v[bridge]
+                wrap = (ru == 0) & (rv == n - 1)
+                ring = wrap | ((ru >= 0) & (rv == ru + 1) & (rv < n))
+                ring_lines += len(ru)
+                ring_seen = np.zeros(n, dtype=bool) if ring_seen is None else ring_seen
+                ring_seen[np.where(wrap, n - 1, ru)[ring]] = True
+            us.append(u)
+            vs.append(v)
+    # np.lexsort((v, u)) for 0 <= u, v < n as one stable sort, linear time on
+    # sorted lines; out-of-range edges are refused after it, in any order
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.argsort(u * n + v, kind="stable")
     if tag == "generic":
-        order = _lex_order(u, v, n)
         g = GenericGraph(n, u[order], v[order])
         _refuse_repeats(g.edge_u, g.edge_v, "an edge")
         return g
-    bu, bv = u[is_bridge], v[is_bridge]
-    order = _lex_order(bu, bv, n)
-    g = SmallWorldGraph(n, bu[order], bv[order], tag)
-    if tag == "matching" and np.bincount(np.concatenate([bu, bv])).max(initial=0) > 1:
+    g = SmallWorldGraph(n, u[order], v[order], tag)
+    if tag == "matching" and np.bincount(np.concatenate([u, v])).max(initial=0) > 1:
         raise ValueError("model=matching but a node has two bridges")
-    # ring edge {i, i+1 mod n} is the line `i i+1 R`, or `0 n-1 R` for i = n-1
-    ru, rv = u[~is_bridge], v[~is_bridge]
-    wrap = (ru == 0) & (rv == n - 1)
-    if (len(ru) != n or not np.all(wrap | ((ru >= 0) & (rv == ru + 1) & (rv < n)))
-            or np.any(np.bincount(np.where(wrap, n - 1, ru), minlength=n) != 1)):
+    # n R lines mark all n ring edges only if each is one, there once
+    if ring_lines != n or not ring_seen.all():
         raise ValueError(f"the R lines must be exactly the {n} ring edges")
     _refuse_repeats(g.bridge_u, g.bridge_v, "a bridge")
     return g

@@ -431,3 +431,21 @@ def test_percolate_and_visit_rows_hold_the_edges_and_the_rounds(runner, swg_fixt
         gp = percolate(load_edge_list(swg_fixture), float(p), float(p), Seed(4).generator())
         want = [f"{i},{q},{r},{d}" for i, (q, r, d) in enumerate(plain_bfs(gp, 7).rounds)]
         assert _read(out).decode().splitlines()[1:-1] == want
+
+
+def test_csv_bytes_do_not_depend_on_the_write_block(runner, swg_fixture, tmp_path, monkeypatch):
+    from percolab import graphs
+
+    commands = [["percolate", "--graph", swg_fixture, "--p-local", "0.55"],
+                ["components", "--graph", swg_fixture, "--p-local", "0.55"],
+                ["visit", "--graph", swg_fixture, "--algorithm", "bfs", "--p-local", "0.55"],
+                ["gw", "--law", "binomial:3:0.4", "--trials", "50"]]
+    for args in commands:
+        outs = []
+        for block in (10 ** 6, 1, 3):
+            monkeypatch.setattr(graphs, "_WRITE_ROWS", block)
+            out = tmp_path / f"{args[0]}-{block}.csv"
+            res = runner.invoke(main, [*args, "--seed", "5", "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            outs.append(_read(out))
+        assert outs[0].count(b"\n") >= 3 and outs[1] == outs[0] and outs[2] == outs[0]

@@ -852,6 +852,109 @@ def test_loader_refuses_every_file_the_line_parser_refuses(tmp_path, data):
     _same_graph(got, want)
 
 
+_ERDOS5 = b"# swg n=5 model=erdos:c=1\n"
+
+# one fault each (first the refusals, then files that load), so that every
+# block size must give the same outcome as one block
+_BLOCK_CASES = [
+    *(_ERDOS5 + _RING5.encode() + lines for lines in (
+        b"0 2\nB\n", b"0\n2 B\n", b"0 2 B 1 3 B\n", b"0 2 B extra\n",   # three fields
+        b"0 2 X\n", b"0 2 BB\n", b"0 2 r\n",                               # kinds
+        b"0 - B\n", b"- 2 B\n- 3 B\n", b"0 +-2 B\n", b"0 2- B\n", b"0 1+1 B\n",  # signs
+        b"0 1234567890123456789 B\n", b"0 1.5 B\n", b"0 0x2 B\n", b"0 2\x01 B\n",
+        b"# \xff\n", b"0 2 B # \xc3\n",                                    # not UTF-8
+        b"2 9 B\n", b"2 1 B\n", b"0 2 B\n1 3 B\n0 2 B\n",                    # range, order, repeat
+        b"0 2 R\n", b"1 2 R\n")),                                          # ring lines
+    _ERDOS5 + b"0 3 R\n",
+    _ERDOS5 + "".join(_RING5.splitlines(keepends=True)[1:]).encode(),
+    _ERDOS5 + b"0 2 B\n",
+    b"# swg n=6 model=matching\n0 2 B\n0 3 B\n",
+    b"# swg n=3 model=generic\n0 1 R\n1 3 R\n",
+    b"# swg n=3 model=generic\n0 1 R\n1 2 R\n0 1 R\n",
+    b"# swg n=5\n" + _RING5.encode(),
+    # these load: comments, blank lines, CR LF, lone CR, any order and the
+    # wrap line `0 4 R` in the middle
+    _ERDOS5 + b"# comment\n\n1 3 B\r\n" + "".join(reversed(_RING5.splitlines(True))).encode()
+    + b"  0\t1 B \n",
+    _ERDOS5.replace(b"\n", b"\r\n") + _RING5.replace("\n", "\r\n").encode() + b"0 2 B",
+    _ERDOS5.replace(b"\n", b"\r") + _RING5.replace("\n", "\r").encode() + b"1 3 B\r",
+    b"# swg n=4 model=generic\n\n# x\n0 3 R\n2 3 R\n\n0 1 R\n",
+    b"# swg n=4 model=generic",
+]
+
+
+def _outcome(path):
+    try:
+        g = load_edge_list(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = (g.bridge_u, g.bridge_v) if isinstance(g, SmallWorldGraph) else (g.edge_u, g.edge_v)
+    return type(g), g.n, getattr(g, "model_tag", None), *(a.tolist() for a in arrays)
+
+
+def test_loader_gives_the_same_outcome_at_every_block_size(tmp_path, monkeypatch):
+    path = tmp_path / "g.edges"
+    refused = 0
+    for data in _BLOCK_CASES:
+        path.write_bytes(data)
+        want = _outcome(path)
+        refused += isinstance(want[1], str)
+        for block in (1, 2, 3, 7, 16):
+            monkeypatch.setattr(graphs, "_READ_BLOCK", block)
+            assert _outcome(path) == want, (data, block)
+        monkeypatch.undo()
+    assert refused == len(_BLOCK_CASES) - 5
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=_graphs(), block=st.integers(1, 64))
+def test_saved_files_load_alike_at_every_block_size(tmp_path, monkeypatch, g, block):
+    path = tmp_path / "g.edges"
+    save_edge_list(g, path)
+    want = _outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_READ_BLOCK", block)
+        assert _outcome(path) == want
+
+
+@pytest.mark.parametrize("rows", ["0", "1", "c-1", "c", "c+1"])
+def test_writers_give_the_same_bytes_at_every_block_edge(tmp_path, monkeypatch, rows):
+    c = 4
+    k = {"0": 0, "1": 1, "c-1": c - 1, "c": c, "c+1": c + 1}[rows]
+    edges = np.array([(i, i + 2) for i in range(k)], dtype=np.int64).reshape(-1, 2)
+    want = "".join(f"{u},{v},R\n" for u, v in edges.tolist())
+    monkeypatch.setattr(graphs, "_WRITE_ROWS", c)
+    assert "".join(graphs.format_rows("%d,%d,R\n", edges)) == want
+    assert len(list(graphs.format_rows("%d,%d,R\n", edges))) == -(-k // c)
+    n = max(k, 3)  # ring rows: the n = k ring lines cross block edges too
+    for g in (SmallWorldGraph(n + 2, edges[:, 0], edges[:, 1], "erdos:c=1"),
+              SmallWorldGraph(n, edges[:0, 0], edges[:0, 1], "erdos:c=1"),
+              GenericGraph(k + 2, edges[:, 0], edges[:, 1])):
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "_WRITE_ROWS", 10 ** 6)
+            save_edge_list(g, tmp_path / "one.edges")
+        assert path.read_bytes() == (tmp_path / "one.edges").read_bytes()
+        _same_graph(load_edge_list(path), g)
+
+
+def test_loader_memory_grows_with_the_graph_not_its_text(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.edges"
+    save_edge_list(sample_swg_erdos(200_000, 1.0, Seed(19).generator()), path)
+    tracemalloc.start()
+    try:
+        load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: about 10x the file's bytes reading it whole, 1.5x in blocks
+    assert peak < 4 * path.stat().st_size
+
+
 def test_adjacency_views_equal_sorted_neighbour_lists():
     rng = Seed(17).generator()
     erdos = sample_swg_erdos(300, 2.0, rng)
@@ -882,18 +985,22 @@ def test_adjacency_views_equal_sorted_neighbour_lists():
     assert isinstance(erdos.bridge_adjacency()[0], tuple)  # read-only
 
 
-def test_adjacency_holds_int64_arrays_and_builds_lists_on_first_use():
+def test_adjacency_reads_rows_through_views_of_its_int64_arrays():
     g = sample_swg_erdos(300, 2.0, Seed(18).generator())
     small = GenericGraph(4, np.array([0, 1], dtype=np.int32), np.array([3, 2], dtype=np.int32))
     for adj, want in ((g.bridge_adjacency(), list_adjacency(g.n, g.bridge_u, g.bridge_v)),
                       (small.adjacency(), [[3], [2], [1], [0]])):
         assert adj.indptr.dtype == adj.indices.dtype == np.int64
-        assert adj._lists is None  # no Python sequences until one is read
         rows = [adj.indices[adj.indptr[w]:adj.indptr[w + 1]].tolist() for w in range(len(adj))]
         assert rows == want
-        assert adj[1] == tuple(want[1])
-        indptr, indices = adj.lists()
-        assert indptr == adj.indptr.tolist() and indices == tuple(adj.indices.tolist())
+        assert [adj[w] for w in range(len(adj))] == [tuple(row) for row in want]
+        # no Python copy of the CSR: besides the arrays, only views of them
+        assert not hasattr(adj, "__dict__") and not hasattr(adj, "lists")
+        for name in type(adj).__slots__:
+            value = getattr(adj, name)
+            if isinstance(value, memoryview):
+                value = value.obj
+            assert value is adj.indptr or value is adj.indices
     # rows are ordered by one sort of int64 keys end*n + other
     empty = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError, match="too large for a CSR"):
