@@ -399,19 +399,19 @@ def epidemic_cmd(p, seed):
 # ---------------------------------------------------------------------------
 
 def _parse_law(text: str) -> branching.OffspringLaw:
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *fields = text.split(":")
+    laws = {"binomial": (branching.Binomial, int, float),
+            "geomcut": (branching.GeometricCutoff, float, int),
+            "compound": (branching.CompoundZeta, int, float, float)}
+    if kind not in laws:
+        raise ValueError(f"unknown law: {kind}")
+    law, *types = laws[kind]
+    if len(fields) != len(types):
+        raise ValueError(f"bad law spec {text!r}: {kind} takes {len(types)} fields")
     try:
-        if kind == "binomial":
-            return branching.Binomial(int(parts[1]), float(parts[2]))
-        if kind == "geomcut":
-            return branching.GeometricCutoff(float(parts[1]), int(parts[2]))
-        if kind == "compound":
-            return branching.CompoundZeta(int(parts[1]), float(parts[2]),
-                                          float(parts[3]))
-    except (IndexError, ValueError) as exc:
+        return law(*(convert(value) for convert, value in zip(types, fields)))
+    except ValueError as exc:
         raise ValueError(f"bad law spec {text!r}: {exc}") from None
-    raise ValueError(f"unknown law: {kind}")
 
 
 @main.command()

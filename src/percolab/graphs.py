@@ -178,17 +178,13 @@ class PercolationGraph:
     def active_edge_arrays(self) -> tuple:
         """(u, v) arrays of all retained edges, retained ring edges first."""
         if isinstance(self.base, SmallWorldGraph):
-            idx = np.flatnonzero(self.ring_active)
-            ru = idx
-            rv = (idx + 1) % self.base.n
+            ru = np.flatnonzero(self.ring_active)
+            rv = (ru + 1) % self.n
             bu = self.base.bridge_u[self.bridge_active]
             bv = self.base.bridge_v[self.bridge_active]
-            u = np.concatenate([np.minimum(ru, rv), bu])
-            v = np.concatenate([np.maximum(ru, rv), bv])
-            return u, v
-        u = self.base.edge_u[self.bridge_active]
-        v = self.base.edge_v[self.bridge_active]
-        return u, v
+            return (np.concatenate([np.minimum(ru, rv), bu]),
+                    np.concatenate([np.maximum(ru, rv), bv]))
+        return self.base.edge_u[self.bridge_active], self.base.edge_v[self.bridge_active]
 
     def retained_bridge_adjacency(self) -> Adjacency:
         """Per-node sorted retained bridge neighbours (every retained edge for
@@ -444,57 +440,36 @@ class Components(abc.Sequence):
     """Read-only sequence of a graph's components as node sets, largest
     first, ties broken by smallest node (see `connected_components`).
 
-    The constructor only keeps the labels and sizes; nothing n-sized is
-    built until a caller needs it.  Item 0 is label argmax(sizes), whose
-    first maximum is the smallest-node one, read off the labels with one
-    `np.flatnonzero`.  The labels in rank order (a stable argsort of
-    -sizes) are built the first time another item is read.  The nodes
-    grouped by label, ascending within each group (a stable argsort of the
-    labels), and the group bounds (the cumsum of the sizes) are built the
-    first time the view is iterated or sliced, and serve every later read.
-    Item i builds a fresh set of the i-th largest component each time it
-    is read; a slice gives a list of sets, and the view equals a list
-    holding the same sets in the same order.
+    While item 0 is the only item read, it is read off the labels: label
+    argmax(sizes), whose first maximum is the smallest-node one, with one
+    `np.flatnonzero`.  Any other read builds every component's node list
+    once, in rank order (stable argsorts of -sizes and of the labels).  Each
+    read gives a fresh set, a slice a list of sets, and the view equals a
+    list holding the same sets in the same order.
     """
 
-    __slots__ = ("_labels", "_sizes", "_rank", "_members", "_bounds")
+    __slots__ = ("_labels", "_sizes", "_lists")
 
     def __init__(self, labels: np.ndarray, sizes: np.ndarray):
         self._labels = labels
         self._sizes = sizes
-        self._rank = self._members = self._bounds = None
+        self._lists = None
 
     def __len__(self) -> int:
         return len(self._sizes)
 
-    def _ranked(self) -> np.ndarray:
-        if self._rank is None:
-            self._rank = np.argsort(-self._sizes, kind="stable")
-        return self._rank
-
-    def _grouped(self) -> tuple:
-        if self._members is None:
-            self._members = np.argsort(self._labels, kind="stable")
-            self._bounds = np.concatenate([[0], np.cumsum(self._sizes)])
-        return self._members, self._bounds
-
     def __getitem__(self, i):
+        if self._lists is None:
+            if not isinstance(i, slice) and len(self) and operator.index(i) in (0, -len(self)):
+                k = np.argmax(self._sizes)
+                return set(np.flatnonzero(self._labels == k).tolist())
+            members = np.argsort(self._labels, kind="stable").tolist()
+            bounds = np.concatenate([[0], np.cumsum(self._sizes)]).tolist()
+            self._lists = [members[bounds[k]:bounds[k + 1]]
+                           for k in np.argsort(-self._sizes, kind="stable").tolist()]
         if isinstance(i, slice):
-            self._grouped()
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("component index out of range")
-        i %= len(self)
-        k = int(np.argmax(self._sizes)) if i == 0 else self._ranked()[i]
-        if self._members is None:
-            return set(np.flatnonzero(self._labels == k).tolist())
-        return set(self._members[self._bounds[k]:self._bounds[k + 1]].tolist())
-
-    def __iter__(self) -> Iterator[set]:
-        members, bounds = (a.tolist() for a in self._grouped())
-        for k in self._ranked().tolist():
-            yield set(members[bounds[k]:bounds[k + 1]])
+            return [set(nodes) for nodes in self._lists[i]]
+        return set(self._lists[i])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Components, list)):
@@ -507,11 +482,10 @@ def connected_components(gp) -> Components:
     contained node id (label order is smallest-node order, see
     `component_labels`, so a stable sort on size gives the tie-break).
 
-    The result is a lazy `Components` view, not a list: it has no `append`,
-    `sort` or `+`.  It costs `component_labels` alone; a set is built only
-    for a component that is read, so `connected_components(gp)[0]` costs one
-    argmax and one pass over the labels, and builds one set (see
-    `Components` for what else is built when).
+    The result is a `Components` view, not a list: it has no `append`,
+    `sort` or `+`.  It costs `component_labels` alone until it is read;
+    `connected_components(gp)[0]` costs one argmax and one pass over the
+    labels, and builds one set (see `Components` for the other reads).
     """
     return Components(*component_labels(gp))
 
@@ -541,25 +515,21 @@ def bfs_order(sources, neighbours) -> tuple:
     return order, found
 
 
-def _subgraph_csr(gp, nodes: np.ndarray) -> csr_matrix:
-    """Unit-weight symmetric CSR of the subgraph induced by the sorted array
-    `nodes`, relabelled 0..m-1: each distinct edge once per direction, so
-    parallel ring and bridge edges collapse (building from COO sums
-    duplicates; the sums are reset to 1) and self-loops are dropped."""
-    u, v = _as_edge_arrays(gp)
+def _induced_edges(nodes: np.ndarray, k: int, u: np.ndarray, v: np.ndarray) -> tuple:
+    """The distinct edges (u[i], v[i]) of a k-node graph with both ends in
+    the sorted array `nodes`, relabelled to their positions there (so u < v
+    still holds): a bridge that doubles a ring edge is one edge."""
     m = len(nodes)
-    remap = np.full(gp.n, -1, dtype=np.int64)
-    remap[nodes] = np.arange(m)
-    su, sv = remap[u], remap[v]
-    keep = (su >= 0) & (sv >= 0) & (su != sv)
-    rows = np.concatenate([su[keep], sv[keep]])
-    cols = np.concatenate([sv[keep], su[keep]])
-    sub = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
-    sub.data[:] = 1.0
-    return sub
+    pos = np.full(k, -1, dtype=np.int64)
+    pos[nodes] = np.arange(m)
+    u, v = pos[u], pos[v]
+    # merges the sorted ring and bridge runs; np.unique takes ~14x as long
+    keys = np.sort((u * m + v)[(u >= 0) & (v >= 0)], kind="stable")
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return keys // m, keys % m
 
 
-def _peel_pendant_trees(sub: csr_matrix) -> tuple:
+def _peel_pendant_trees(adj: Adjacency) -> tuple:
     """Strip degree-1 nodes of a connected simple graph level by level.
 
     Returns (core, h, tree_diam): the surviving 2-core node indices (at most
@@ -568,9 +538,9 @@ def _peel_pendant_trees(sub: csr_matrix) -> tuple:
     removed in round r has height r; the one neighbour it still has is read
     off the XOR of its remaining neighbour ids.
     """
-    m = sub.shape[0]
-    deg = np.diff(sub.indptr)
-    nb_xor = np.bitwise_xor.reduceat(sub.indices, sub.indptr[:-1])
+    m = len(adj.indptr) - 1
+    deg = np.diff(adj.indptr)
+    nb_xor = np.bitwise_xor.reduceat(adj.indices, adj.indptr[:-1])
     alive = np.ones(m, dtype=bool)
     h = np.zeros(m, dtype=np.int64)
     tree_diam = 0
@@ -607,8 +577,8 @@ class _ChainCore:
     min(D[a] + t, D[b] + L - t) from a source whose branch distances are D.
     """
 
-    def __init__(self, core: csr_matrix):
-        m = core.shape[0]
+    def __init__(self, core: Adjacency):
+        m = len(core.indptr) - 1
         deg = np.diff(core.indptr)
         branch = np.flatnonzero(deg > 2)
         if not len(branch):
@@ -735,21 +705,21 @@ def component_diameter(gp, component) -> int:
     `sample_swg_erdos(10000, 0.0)` at p = 1 the 10000 sweeps take 2.0 s,
     against 2.5 s for BFS sweeps.
     """
-    nodes = np.array(sorted(component), dtype=np.int64)
+    nodes = np.sort(np.fromiter(component, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= gp.n):
         raise ValueError(f"component nodes must lie in [0, {gp.n})")
     if np.any(nodes[1:] == nodes[:-1]):
         raise ValueError("component lists a node twice")
-    if len(nodes) == 1:
+    m = len(nodes)
+    if m == 1:
         return 0
-    sub = _subgraph_csr(gp, nodes)
-    ncomp, _ = _cc(sub, directed=False)
-    if ncomp != 1:
+    u, v = _induced_edges(nodes, gp.n, *_as_edge_arrays(gp))
+    if _cc(_edge_matrix(m, u, v), directed=False)[0] != 1:
         raise ValueError("component is not connected in the graph")
-    core, h, diam = _peel_pendant_trees(sub)
+    core, h, diam = _peel_pendant_trees(_csr(m, u, v))
     if len(core) <= 1:
         return diam
-    sub = sub[core][:, core]
+    sub = _csr(len(core), *_induced_edges(core, m, u, v))
     chains = _ChainCore(sub)
     h = h[core].astype(np.float64)
     e_lo = h.copy()
@@ -900,12 +870,13 @@ def load_edge_list(path):
     """Inverse of save_edge_list; the round trip is lossless for every graph
     that holds no edge twice (the samplers never make one).
 
-    Raises ValueError on a malformed file: a header without `n=` or
-    `model=`, an n outside [0, 2**31], a line other than `u v kind` with
-    integers u, v, an edge kind other than R or B, a node outside [0, n),
-    an edge not given as u < v, a `model=matching` file in which a node has
-    two bridges, a ring-based file whose R lines are not exactly the n ring
-    edges, a bridge given twice, or a `model=generic` edge given twice.
+    Raises ValueError on a malformed file: a header field other than
+    `key=value`, a header without `n=` or `model=`, an n outside
+    [0, 2**31], a line other than `u v kind` with integers u, v, an edge
+    kind other than R or B, a node outside [0, n), an edge not given as
+    u < v, a `model=matching` file in which a node has two bridges, a
+    ring-based file whose R lines are not exactly the n ring edges, a bridge
+    given twice, or a `model=generic` edge given twice.
     The file is parsed a block at a time, keeping only a ring-based file's B
     lines; of line faults in several blocks, the first block's is reported."""
     with open(path, "rb") as fh:
@@ -914,7 +885,11 @@ def load_edge_list(path):
         header = head.decode().strip()
         if not header.startswith("# swg "):
             raise ValueError(f"bad header: {header!r}")
-        fields = dict(part.split("=", 1) for part in header[6:].split())
+        parts = header[6:].split()
+        for part in parts:
+            if "=" not in part:
+                raise ValueError(f"header field {part!r} is not key=value")
+        fields = dict(part.split("=", 1) for part in parts)
         missing = [key for key in ("n", "model") if key not in fields]
         if missing:
             raise ValueError(f"header lacks {', '.join(k + '=' for k in missing)}")

@@ -299,6 +299,10 @@ _SEEDED_SCALING = _SCALING + ["--trials", "2", "--seed", "1"]
             "--source", "999", "--seed", "1"], "takes no --source"),
     ('{"source": 0}', ["visit", "--graph", RING, "--algorithm", "matching-search",
                        "--p-local", "0.5", "--seed", "1"], "takes no --source"),
+    # a law spec with a field too many
+    (None, ["gw", "--law", "binomial:3:0.4:junk", "--seed", "1"], "bad law spec"),
+    (None, ["gw", "--law", "geomcut:0.5:3:9", "--seed", "1"], "bad law spec"),
+    (None, ["gw", "--law", "compound:10:0.5:1:9", "--seed", "1"], "bad law spec"),
 ])
 def test_parameter_errors_exit_2_with_one_json_object(runner, tmp_path, config, args, message):
     out = tmp_path / "o.csv"

@@ -560,7 +560,8 @@ def test_diameter_on_contracted_chains(case):
 
 def _core_cases():
     """Peeled cores of the hand-built chain cases and of the largest
-    components of percolated swg, matching and 3-regular graphs."""
+    components of percolated swg, matching and 3-regular graphs, each a
+    unit-weight scipy CSR sliced out of the whole graph's."""
     rng = Seed(19).generator()
     cases = [_edge_graph(edges) for edges, _ in _CHAIN_CASES.values()]
     for _ in range(4):
@@ -568,8 +569,11 @@ def _core_cases():
                   sample_regular(400, 3, rng)):
             cases.append(percolate(g, 0.6, 0.6, rng))
     for gp in cases:
+        u, v = graphs._as_edge_arrays(gp)
+        full = csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(gp.n, gp.n))
+        full.data[:] = 1.0  # building from COO sums parallel edges
         nodes = np.array(sorted(connected_components(gp)[0]))
-        sub = graphs._subgraph_csr(gp, nodes)
+        sub = full[nodes][:, nodes]
         core, _, _ = graphs._peel_pendant_trees(sub)
         if len(core) > 1:
             yield sub[core][:, core]
@@ -630,6 +634,17 @@ def test_components_view_reads_the_largest_under_ties():
         comps = connected_components(gp)
         assert comps[0] == want[0] and comps[-len(want)] == want[0]
         assert comps == want
+
+
+def test_components_view_reads_item_0_without_building_the_lists():
+    # scaling's subcritical leg reads only item 0 of each graph's view
+    for gp in _component_cases():
+        comps = connected_components(gp)
+        want = connected_components_eager(gp)
+        assert comps[0] == comps[-len(comps)] == want[0]
+        assert comps._lists is None
+        assert comps[1:] == want[1:] and comps._lists is not None
+        assert comps[0] == want[0]
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +724,7 @@ def test_edge_list_rejects_incomplete_headers(tmp_path):
         "lacks n=": "# swg model=erdos:c=1\n" + _RING5,
         "lacks model=": "# swg n=5\n" + _RING5,
         "lacks n=, model=": "# swg c=1\n",
+        "field 'junk' is not key=value": "# swg n=5 model=erdos:c=1 junk\n" + _RING5,
     }
     for message, text in bad.items():
         with pytest.raises(ValueError, match=message):
