@@ -281,44 +281,28 @@ class _CoupledTrial:
 
     def __init__(self, gp, depth: int, fixed_ring: bool):
         self.base, self.scale = gp.base, 1 << depth
+        # u * 2^depth is exact, so its integer part is the floor
+        self.level = (gp.uniforms * self.scale).astype(np.int16)
+        self.level += 1
         # a fixed ring keeps its own probability
         self.p_local = gp.p_local if fixed_ring else None
-        u_ring, u_edge = gp.uniforms
-        self.edge_level = self._levels(u_edge)
-        if u_ring is None:
-            self.ends = self.base.edge_u, self.base.edge_v
-            self.ring_level = None
-            return
-        self.ends = self.base.bridge_u, self.base.bridge_v
         if fixed_ring:
-            self.ring_level = np.where(gp.ring_active, 0, self.scale + 1).astype(np.int16)
-        else:
-            self.ring_level = self._levels(u_ring)
-
-    def _levels(self, uniforms: np.ndarray) -> np.ndarray:
-        # u * 2^depth is exact, so its integer part is the floor
-        return (uniforms * self.scale).astype(np.int16) + 1
+            local = self.base.num_local
+            self.level[:local] = np.where(gp.retained[:local], 0, self.scale + 1)
 
     def largest(self, m: int) -> tuple:
         """(size, grouping) at level m, as `_Contracted.largest`."""
         p = m / self.scale
-        ring = None if self.ring_level is None else self.ring_level <= m
-        gp = PercolationGraph(self.base, ring, self.edge_level <= m,
+        gp = PercolationGraph(self.base, self.level <= m,
                               p if self.p_local is None else self.p_local, p)
         labels, sizes = component_labels(gp)
         return int(sizes.max()), (labels, sizes)
 
     def contract(self, m: int, top: int, grouping: tuple) -> _Contracted:
         labels, sizes = grouping
-        e = np.flatnonzero((self.edge_level > m) & (self.edge_level < top))
-        u, v = (labels.take(ends.take(e)) for ends in self.ends)
-        level = self.edge_level.take(e)
-        if self.ring_level is not None:
-            # ring edge i joins i and i + 1 mod n
-            r = np.flatnonzero((self.ring_level > m) & (self.ring_level < top))
-            u = np.concatenate([labels.take(r), u])
-            v = np.concatenate([labels.take(r + 1, mode="wrap"), v])
-            level = np.concatenate([self.ring_level.take(r), level])
+        e = np.flatnonzero((self.level > m) & (self.level < top))
+        u, v = (labels.take(ends) for ends in self.base.ends(e))
+        level = self.level.take(e)
         order = np.argsort(level, kind="stable")
         return _Contracted(sizes, u.take(order), v.take(order), level.take(order))
 

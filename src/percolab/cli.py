@@ -266,12 +266,11 @@ def generate(p, seed):
 def percolate(p, seed):
     """Percolate a graph and write the retained edges."""
     gp = _percolate(_load_graph(p["graph_path"]), p, seed)
-    eu, ev = gp.active_edge_arrays()
-    # retained ring edges come first; every edge of a GenericGraph is kind R
-    n_ring = len(eu) if gp.ring_active is None else int(np.count_nonzero(gp.ring_active))
-    uv = np.column_stack([eu, ev])
-    return "u,v,kind", chain(graphs.format_rows("%d,%d,R\n", uv[:n_ring]),
-                             graphs.format_rows("%d,%d,B\n", uv[n_ring:])), None
+    uv = np.column_stack(gp.active_edge_arrays())
+    # the retained edges are in id order, so those of kind R come first
+    local = int(np.count_nonzero(gp.retained[:gp.base.num_local]))
+    return "u,v,kind", chain(graphs.format_rows("%d,%d,R\n", uv[:local]),
+                             graphs.format_rows("%d,%d,B\n", uv[local:])), None
 
 
 @main.command()
@@ -331,7 +330,7 @@ def visit(p, seed):
     elif p["source"] is None:
         p["source"] = 0  # the manifest records the default, as it always has
     g = _load_graph(p["graph_path"])
-    if not isinstance(g, graphs.SmallWorldGraph):
+    if not g.num_ring:
         raise ValueError("visit algorithms require a ring-based graph")
     gp = _percolate(g, p, seed)
     cfg = visits.VisitConfig(L=p["truncation"], k=p["density_k"],

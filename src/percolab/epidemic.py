@@ -27,8 +27,9 @@ from scipy.sparse import csgraph
 
 from .graphs import (
     GenericGraph,
-    SmallWorldGraph,
     _check_probabilities,
+    _csr,
+    _cut,
     _edge_matrix,
     bfs_order,
     component_labels,
@@ -185,8 +186,8 @@ def _attempt_table(g, cfg: EpidemicConfig) -> tuple:
     n = g.n
     if not _keys_fit_int64(n):
         raise ValueError(f"n = {n} is too large for int64 attempt keys")
-    ring = not isinstance(g, GenericGraph)
-    adj = g.bridge_adjacency() if ring else g.adjacency()
+    ring = g.num_ring > 0  # then the listed edges are bridges, of kind B
+    adj = _csr(n, *g.listed)
     node = np.arange(n)
     u, v = np.repeat(node, np.diff(adj.indptr)), adj.indices
     r = len(v) if ring else 0  # the entries from r on have kind bit 1
@@ -367,11 +368,10 @@ def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
     percolating and BFS-layering from I0, one sample per trial.
 
     Trials run in blocks.  One draw gives each trial of a block the
-    uniforms `percolate` would draw (ring edges then bridges, or one per
-    edge of a GenericGraph, trial after trial), so the laws and the
-    generator state do not depend on the block size.  One multi-source
-    hop-distance search then labels the block's disjoint copies of the
-    retained graph, node v of trial t being t*n + v.
+    uniforms `percolate` would draw (one per edge id, trial after trial),
+    so the laws and the generator state do not depend on the block size.
+    One multi-source hop-distance search then labels the block's disjoint
+    copies of the retained graph, node v of trial t being t*n + v.
 
     Returns (Counter over total size, Counter over layer tuples), keys in
     order of first occurrence.
@@ -381,20 +381,13 @@ def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
     sources = np.array(_initial_nodes(g, I0), dtype=np.int64)
     _check_probabilities(p_local, p_bridge)
     n = g.n
-    if isinstance(g, SmallWorldGraph):
-        ring = np.arange(n)
-        eu = np.concatenate([ring, g.bridge_u])
-        ev = np.concatenate([(ring + 1) % n, g.bridge_v])
-        limit = np.repeat([p_local, p_bridge], [n, g.num_bridges])
-    else:
-        eu, ev, limit = g.edge_u, g.edge_v, p_local
+    eu, ev = g.ends(np.arange(g.num_edges))
     block = max(1, _BLOCK_SIZE // max(1, n, len(eu)))
     size_law: Counter = Counter()
     layer_law: Counter = Counter()
     for done in range(0, trials, block):
         count = min(block, trials - done)
-        # an edge is retained at every probability above its uniform
-        t, k = np.nonzero(rng.random((count, len(eu))) < limit)
+        t, k = np.nonzero(_cut(rng.random((count, len(eu))), g.num_local, p_local, p_bridge))
         offset = t * n
         hops = csgraph.dijkstra(
             _edge_matrix(count * n, offset + eu[k], offset + ev[k]), directed=False,

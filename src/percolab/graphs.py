@@ -3,8 +3,8 @@
 Two random graph distributions are implemented: a ring plus independent
 Erdos-Renyi bridges with per-pair probability c/n, and a ring plus a uniform
 random perfect matching (bridges that coincide with ring edges are dropped,
-so every node has degree 2 or 3).  Percolation keeps each edge independently;
-ring edges are stored implicitly and percolated via an n-bit mask.
+so every node has degree 2 or 3).  Percolation keeps each edge independently:
+one uniform and one mask entry per edge id, ring edges first (`_EdgeIds`).
 """
 
 from __future__ import annotations
@@ -74,14 +74,47 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
     return Adjacency(indptr, keys % n)
 
 
+class _EdgeIds:
+    """The edge id space both graph types share, set up by each type's
+    __post_init__.  Ids 0..num_ring-1 are the ring edges in ring order:
+    edge i joins i and i + 1 mod n, so edge n - 1 is (0, n - 1).  The ids
+    from num_ring on are the listed edges, held as the pair of arrays
+    `listed` (u < v).  Edges 0..num_local-1 are of kind R and are retained
+    with p_local, the rest of kind B, with p_bridge."""
+
+    @property
+    def num_edges(self) -> int:
+        return self.num_ring + len(self.listed[0])
+
+    def ends(self, ids) -> tuple:
+        """(u, v) arrays, u < v, of the edges with the given ids, in any
+        order: a ring edge's ends by arithmetic, a listed edge's read off
+        its arrays."""
+        ids = np.asarray(ids, dtype=np.int64)
+        r = self.num_ring
+        u, v = ids.copy(), ids + 1
+        wrap = ids == r - 1
+        u[wrap], v[wrap] = 0, r - 1
+        listed = ids >= r
+        j = ids[listed] - r
+        u[listed], v[listed] = self.listed[0].take(j), self.listed[1].take(j)
+        return u, v
+
+    def edges(self) -> Iterator[tuple]:
+        """All edges as (u, v, kind) in id order, u < v and kind in {"R", "B"}."""
+        u, v = self.ends(np.arange(self.num_edges))
+        for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+            yield a, b, "R" if i < self.num_local else "B"
+
+
 @dataclass
-class SmallWorldGraph:
+class SmallWorldGraph(_EdgeIds):
     """Ring on n nodes plus a set of bridge edges.
 
-    The ring is implicit: node i is adjacent to (i-1) mod n and (i+1) mod n.
-    Bridges are stored as parallel arrays (bridge_u[k] < bridge_v[k]) in
-    lexicographic order.  The graph is treated as immutable: the per-node
-    bridge adjacency (a CSR `Adjacency`) is built on first use and cached.
+    The ring is implicit: node i is adjacent to (i-1) mod n and (i+1) mod n,
+    and ring edge i is edge id i.  Bridges are the listed edges, stored as
+    parallel arrays (bridge_u[k] < bridge_v[k], edge id n + k) in
+    lexicographic order.
     """
 
     n: int
@@ -94,14 +127,13 @@ class SmallWorldGraph:
         if self.n < 3:
             raise ValueError("need n >= 3")
         _check_edge_arrays(self.n, self.bridge_u, self.bridge_v, "bridge")
+        # the ring edges are of kind R, the bridges of kind B
+        self.num_ring = self.num_local = self.n
+        self.listed = self.bridge_u, self.bridge_v
 
     @property
     def num_bridges(self) -> int:
         return len(self.bridge_u)
-
-    @property
-    def num_edges(self) -> int:
-        return self.n + len(self.bridge_u)
 
     def bridge_adjacency(self) -> Adjacency:
         """Per-node sorted bridge neighbours."""
@@ -109,34 +141,27 @@ class SmallWorldGraph:
             self._adj = _csr(self.n, self.bridge_u, self.bridge_v)
         return self._adj
 
-    def edges(self) -> Iterator[tuple]:
-        """All edges as (u, v, kind) with u < v; kind in {"R", "B"}."""
-        n = self.n
-        for i in range(n):
-            j = (i + 1) % n
-            yield (min(i, j), max(i, j), "R")
-        for u, v in zip(self.bridge_u.tolist(), self.bridge_v.tolist()):
-            yield (u, v, "B")
-
     def degree(self, v: int) -> int:
         return 2 + len(self.bridge_adjacency()[v])
 
 
 @dataclass
-class GenericGraph:
-    """Arbitrary undirected graph given by explicit edge arrays."""
+class GenericGraph(_EdgeIds):
+    """Arbitrary undirected graph given by explicit edge arrays: it has no
+    ring, and its edges, all listed and all of kind R, keep their order as
+    edge ids."""
 
     n: int
     edge_u: np.ndarray
     edge_v: np.ndarray
     _adj: Optional[Adjacency] = field(default=None, repr=False)
 
+    model_tag = "generic"
+
     def __post_init__(self):
         _check_edge_arrays(self.n, self.edge_u, self.edge_v, "edge")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_u)
+        self.num_ring, self.num_local = 0, len(self.edge_u)
+        self.listed = self.edge_u, self.edge_v
 
     def adjacency(self) -> Adjacency:
         """Per-node sorted neighbours, built on first use and cached."""
@@ -144,57 +169,60 @@ class GenericGraph:
             self._adj = _csr(self.n, self.edge_u, self.edge_v)
         return self._adj
 
-    def edges(self) -> Iterator[tuple]:
-        for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist()):
-            yield (u, v, "R")
+    def active_edge_arrays(self) -> tuple:
+        """(u, v) arrays of every edge: the component functions read a
+        GenericGraph as one that keeps them all."""
+        return self.edge_u, self.edge_v
 
 
 @dataclass
 class PercolationGraph:
     """Retained-edge subgraph of a base graph after bond percolation.
 
-    For a SmallWorldGraph base, ring_active[i] says whether ring edge
-    {i, (i+1) mod n} survived and bridge_active masks the base bridge arrays.
-    For a GenericGraph base, ring_active is None and bridge_active masks the
-    explicit edge arrays (p_local applies to every edge).  Like the base
-    graphs it is treated as immutable.  `uniforms` holds the (ring, edge)
-    retention uniforms the masks were cut from (see `percolate_coupled`),
-    so that the same draw can be cut again at other probabilities; it is
-    None for a graph built from masks alone.
+    retained[i] says whether edge id i of the base survived.  `ring_active`
+    (None without a ring) and `bridge_active` are views of its ring part and
+    of its listed part, so writes to them go through to it.  Like the base
+    graphs it is treated as immutable.  `uniforms` holds the per-edge
+    retention uniforms the mask was cut from (see `percolate_coupled`), so
+    that the draw can be cut again at other probabilities; it is None for a
+    graph built from a mask alone.
     """
 
     base: object
-    ring_active: Optional[np.ndarray]
-    bridge_active: np.ndarray
+    retained: np.ndarray
     p_local: float
     p_bridge: float
+    uniforms: Optional[np.ndarray] = field(default=None, repr=False)
     _adj: Optional[Adjacency] = field(default=None, repr=False)
-    uniforms: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.base.n
 
+    @property
+    def num_ring(self) -> int:
+        return self.base.num_ring
+
+    @property
+    def ring_active(self) -> Optional[np.ndarray]:
+        return self.retained[:self.num_ring] if self.num_ring else None
+
+    @property
+    def bridge_active(self) -> np.ndarray:
+        return self.retained[self.num_ring:]
+
     def active_edge_arrays(self) -> tuple:
-        """(u, v) arrays of all retained edges, retained ring edges first."""
-        if isinstance(self.base, SmallWorldGraph):
-            ru = np.flatnonzero(self.ring_active)
-            rv = (ru + 1) % self.n
-            bu = self.base.bridge_u[self.bridge_active]
-            bv = self.base.bridge_v[self.bridge_active]
-            return (np.concatenate([np.minimum(ru, rv), bu]),
-                    np.concatenate([np.maximum(ru, rv), bv]))
-        return self.base.edge_u[self.bridge_active], self.base.edge_v[self.bridge_active]
+        """(u, v) arrays of all retained edges in id order, so retained ring
+        edges first."""
+        return self.base.ends(np.flatnonzero(self.retained))
 
     def retained_bridge_adjacency(self) -> Adjacency:
-        """Per-node sorted retained bridge neighbours (every retained edge for
-        a GenericGraph base), built on first use and cached."""
+        """Per-node sorted retained neighbours along the base's listed edges
+        (every retained edge of a GenericGraph base), built on first use and
+        cached."""
         if self._adj is None:
-            if isinstance(self.base, SmallWorldGraph):
-                us, vs = self.base.bridge_u, self.base.bridge_v
-            else:
-                us, vs = self.base.edge_u, self.base.edge_v
-            self._adj = _csr(self.n, us[self.bridge_active], vs[self.bridge_active])
+            kept = np.flatnonzero(self.bridge_active)
+            self._adj = _csr(self.n, *(ends.take(kept) for ends in self.base.listed))
         return self._adj
 
 
@@ -315,13 +343,10 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
 # percolation
 # ---------------------------------------------------------------------------
 
-def _draw(g, rng: np.random.Generator) -> tuple:
-    """The package's one per-edge retention draw: one uniform per ring edge,
-    then one per bridge.  For a GenericGraph the ring part is None and the
-    uniforms are one per edge."""
-    if isinstance(g, SmallWorldGraph):
-        return rng.random(g.n), rng.random(g.num_bridges)
-    return None, rng.random(len(g.edge_u))
+def _draw(g, rng: np.random.Generator) -> np.ndarray:
+    """The package's one per-edge retention draw: one uniform per edge id,
+    so the ring edges' come first, then the bridges'."""
+    return rng.random(g.num_edges)
 
 
 def _check_probabilities(p_local: float, p_bridge: float) -> None:
@@ -329,15 +354,21 @@ def _check_probabilities(p_local: float, p_bridge: float) -> None:
         raise ValueError("probabilities must be in [0, 1]")
 
 
-def _retain(g, uniforms: tuple, p_local: float, p_bridge: float) -> PercolationGraph:
+def _cut(uniforms: np.ndarray, num_local: int, p_local: float,
+         p_bridge: float) -> np.ndarray:
+    """Retention mask of per-edge uniforms, edge ids along the last axis:
+    an edge is retained at every probability above its uniform, p_local
+    for the first num_local ids and p_bridge for the rest."""
+    kept = np.empty(uniforms.shape, dtype=bool)
+    np.less(uniforms[..., :num_local], p_local, out=kept[..., :num_local])
+    np.less(uniforms[..., num_local:], p_bridge, out=kept[..., num_local:])
+    return kept
+
+
+def _retain(g, uniforms: np.ndarray, p_local: float, p_bridge: float) -> PercolationGraph:
     _check_probabilities(p_local, p_bridge)
-    # an edge is retained at every probability above its uniform
-    u_ring, u_edge = uniforms
-    if u_ring is None:
-        return PercolationGraph(g, None, u_edge < p_local, p_local, p_local,
-                                uniforms=uniforms)
-    return PercolationGraph(g, u_ring < p_local, u_edge < p_bridge, p_local, p_bridge,
-                            uniforms=uniforms)
+    return PercolationGraph(g, _cut(uniforms, g.num_local, p_local, p_bridge),
+                            p_local, p_bridge, uniforms)
 
 
 def percolate(g, p_local: float, p_bridge: float,
@@ -347,7 +378,7 @@ def percolate(g, p_local: float, p_bridge: float,
     p_bridge is ignored.  The base graph is not modified.
 
     This is the one-pair case of `percolate_coupled`: it consumes the same
-    uniforms and returns the same masks."""
+    uniforms, `rng.random(g.num_edges)`, and returns the same mask."""
     return _retain(g, _draw(g, rng), p_local, p_bridge)
 
 
@@ -356,10 +387,10 @@ def percolate_coupled(g, p_pairs: Sequence[tuple],
     """Percolate once per (p_local, p_bridge) pair from one draw.
 
     The draw is the package's only per-edge retention draw: one uniform per
-    ring edge, then one per bridge (one per edge of a GenericGraph), and an
-    edge is retained at every probability above its uniform.  So the
-    retained edge sets are nested whenever the pairs are ordered in both
-    probabilities, and each pair alone is distributed as `percolate`."""
+    edge id, ring edges first (see `_EdgeIds`), and an edge is retained at
+    every probability above its uniform.  So the retained edge sets are
+    nested whenever the pairs are ordered in both probabilities, and each
+    pair alone is distributed as `percolate`."""
     uniforms = _draw(g, rng)
     return [_retain(g, uniforms, pl, pb) for pl, pb in p_pairs]
 
@@ -367,14 +398,6 @@ def percolate_coupled(g, p_pairs: Sequence[tuple],
 # ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
-
-def _as_edge_arrays(gp) -> tuple:
-    if isinstance(gp, PercolationGraph):
-        return gp.active_edge_arrays()
-    if isinstance(gp, GenericGraph):
-        return gp.edge_u, gp.edge_v
-    raise TypeError(f"unsupported graph type: {type(gp)!r}")
-
 
 def _ring_arcs(ring: np.ndarray) -> tuple:
     """(arc, k): arc[i] is the id of the run of retained ring edges holding
@@ -419,15 +442,14 @@ def component_labels(gp) -> tuple:
     order of their smallest node as well, so the labels are the same as on
     the uncontracted graph.
     """
-    if isinstance(gp, PercolationGraph) and isinstance(gp.base, SmallWorldGraph):
+    if gp.num_ring:
         arc, k = _ring_arcs(gp.ring_active)
         # flatnonzero and take select faster than a boolean index
         kept = np.flatnonzero(gp.bridge_active)
-        u = arc.take(gp.base.bridge_u.take(kept))
-        v = arc.take(gp.base.bridge_v.take(kept))
+        u, v = (arc.take(ends.take(kept)) for ends in gp.base.listed)
     else:
         arc, k = None, gp.n
-        u, v = _as_edge_arrays(gp)
+        u, v = gp.active_edge_arrays()
     # scipy numbers components in order of their smallest index
     ncomp, labels = _cc(_edge_matrix(k, u, v), directed=False)
     if arc is not None:
@@ -548,9 +570,12 @@ def _peel_pendant_trees(adj: Adjacency) -> tuple:
     r = 0
     while len(leaves):
         parents = nb_xor[leaves]
+        # np.unique would cost several times as much as the sort and mask
+        ranked = np.sort(parents)
+        repeat = ranked[1:] == ranked[:-1]
         # two leaves on one parent join into a path of 2r+2; otherwise the
         # new branch extends the parent's tallest earlier branch (height <= r)
-        if len(np.unique(parents)) < len(parents):
+        if repeat.any():
             tree_diam = max(tree_diam, 2 * r + 2)
         else:
             tree_diam = max(tree_diam, r + 1 + int(h[parents].max()))
@@ -558,7 +583,8 @@ def _peel_pendant_trees(adj: Adjacency) -> tuple:
         alive[leaves] = False
         np.subtract.at(deg, parents, 1)
         np.bitwise_xor.at(nb_xor, parents, leaves)
-        leaves = np.unique(parents[(deg[parents] == 1) & alive[parents]])
+        first = np.concatenate(([True], ~repeat))
+        leaves = ranked[first & (deg[ranked] == 1) & alive[ranked]]
         r += 1
     return np.flatnonzero(alive), h, tree_diam
 
@@ -713,7 +739,7 @@ def component_diameter(gp, component) -> int:
     m = len(nodes)
     if m == 1:
         return 0
-    u, v = _induced_edges(nodes, gp.n, *_as_edge_arrays(gp))
+    u, v = _induced_edges(nodes, gp.n, *gp.active_edge_arrays())
     if _cc(_edge_matrix(m, u, v), directed=False)[0] != 1:
         raise ValueError("component is not connected in the graph")
     core, h, diam = _peel_pendant_trees(_csr(m, u, v))
@@ -765,19 +791,16 @@ def format_rows(template: str, columns: np.ndarray) -> Iterator[str]:
 
 
 def save_edge_list(g, path) -> None:
-    """One line per edge `u v kind`, header `# swg n=<n> model=<tag>`: for
-    a SmallWorldGraph the n ring edges (kind R) in ring order, then the
-    bridges (kind B); for a GenericGraph every edge with kind R.  The lines
-    are formatted and written a block at a time."""
-    if isinstance(g, SmallWorldGraph):
-        ring = np.sort(np.column_stack([np.arange(g.n), (np.arange(g.n) + 1) % g.n]), axis=1)
-        model, parts = g.model_tag, [("R", ring), ("B", np.column_stack([g.bridge_u, g.bridge_v]))]
-    else:
-        model, parts = "generic", [("R", np.column_stack([g.edge_u, g.edge_v]))]
+    """One line per edge `u v kind` in id order, header
+    `# swg n=<n> model=<tag>`: for a SmallWorldGraph the n ring edges (kind
+    R) in ring order, then the bridges (kind B); for a GenericGraph every
+    edge with kind R.  The lines are formatted and written a block at a
+    time."""
+    uv = np.column_stack(g.ends(np.arange(g.num_edges)))
     with open(path, "w") as fh:
-        fh.write(f"# swg n={g.n} model={model}\n")
-        for kind, uv in parts:
-            fh.writelines(format_rows(f"%d %d {kind}\n", uv))
+        fh.write(f"# swg n={g.n} model={g.model_tag}\n")
+        fh.writelines(format_rows("%d %d R\n", uv[:g.num_local]))
+        fh.writelines(format_rows("%d %d B\n", uv[g.num_local:]))
 
 
 _SPACE = b" \t\n\v\f"

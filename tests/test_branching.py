@@ -150,8 +150,9 @@ def test_extinction_is_exactly_certain_at_criticality():
         assert law.mean() == 1 and extinction_probability(law) == 1.0
     # the point mass at 1 never dies out
     assert extinction_probability(Binomial(1, 1.0)) == 0.0
-    # a supercritical law still iterates to the value it always had
-    assert extinction_probability(Binomial(3, 0.4)) == 0.5571891388266712
+    # a supercritical law lands on the closed-form root of (0.6 + 0.4 s)^3 = s
+    root = (-5.5 + math.sqrt(43.75)) / 2
+    assert extinction_probability(Binomial(3, 0.4)) == pytest.approx(root, rel=0, abs=1e-15)
 
 
 def test_survival_matches_fixed_point_oracle():

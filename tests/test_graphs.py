@@ -254,6 +254,61 @@ def test_percolate_is_the_one_pair_case_of_the_coupled_draw():
             assert a_rng.random() == b_rng.random()  # same uniforms consumed
 
 
+def _id_graphs(rng):
+    """An swg, a matching and a generic graph, for the edge id tests."""
+    return [sample_swg_erdos(300, 2.0, rng), sample_swg_matching(300, rng),
+            sample_regular(300, 3, rng)]
+
+
+def test_percolate_is_one_draw_and_two_cuts_over_the_edge_ids():
+    rng = Seed(21).generator()
+    for g in _id_graphs(rng):
+        a_rng, b_rng = Seed(3).generator(), Seed(3).generator()
+        gp = percolate(g, 0.4, 0.7, a_rng)
+        uniforms = b_rng.random(g.num_edges)
+        assert a_rng.bit_generator.state == b_rng.bit_generator.state
+        assert np.array_equal(gp.uniforms, uniforms)
+        k = g.num_local  # the ring edges of a ring-based graph, every edge of a generic one
+        want = np.concatenate([uniforms[:k] < 0.4, uniforms[k:] < 0.7])
+        assert gp.retained.dtype == bool and np.array_equal(gp.retained, want)
+
+
+def test_edge_ends_match_the_edge_list_in_any_id_order():
+    rng = Seed(22).generator()
+    for g in _id_graphs(rng) + [sample_swg_erdos(5, 0.0, rng)]:
+        if g.num_ring:
+            n = g.n
+            want = ([(min(i, (i + 1) % n), max(i, (i + 1) % n), "R") for i in range(n)]
+                    + [(u, v, "B") for u, v in zip(g.bridge_u.tolist(), g.bridge_v.tolist())])
+            assert want[n - 1] == (0, n - 1, "R")  # the wrap edge
+        else:
+            want = [(u, v, "R") for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())]
+        assert list(g.edges()) == want and g.num_edges == len(want)
+        for ids in (np.arange(g.num_edges), rng.permutation(g.num_edges),
+                    rng.integers(0, g.num_edges, 50), np.array([g.num_ring - 1]),
+                    np.empty(0, dtype=np.int64)):
+            ids = ids[ids >= 0]
+            u, v = g.ends(ids)
+            assert [(a, b) for a, b in zip(u.tolist(), v.tolist())] == \
+                [want[i][:2] for i in ids.tolist()]
+
+
+def test_ring_and_bridge_masks_are_views_of_the_one_retained_mask():
+    rng = Seed(23).generator()
+    for g in _id_graphs(rng):
+        gp = percolate(g, 0.5, 0.5, rng)
+        assert np.array_equal(np.concatenate([gp.ring_active, gp.bridge_active])
+                              if g.num_ring else gp.bridge_active, gp.retained)
+        if g.num_ring:
+            before = bool(gp.retained[2])
+            gp.ring_active[2] = not before
+            assert gp.retained[2] == (not before)
+        before = bool(gp.retained[g.num_ring + 1])
+        gp.bridge_active[1] = not before
+        assert gp.retained[g.num_ring + 1] == (not before)
+    assert percolate(g, 0.5, 0.5, rng).ring_active is None  # the generic graph
+
+
 def test_coupled_percolation_refuses_probabilities_outside_the_unit_interval():
     g = sample_swg_erdos(200, 1.0, Seed(13).generator())
     for bad in (1.5, -0.1, float("nan")):
@@ -358,7 +413,7 @@ def _ring_graph(n, ring_edges, bridges):
     ring = np.zeros(n, dtype=bool)
     ring[list(ring_edges)] = True
     g = SmallWorldGraph(n, u, v, "erdos:c=1")
-    return PercolationGraph(g, ring, np.ones(len(u), dtype=bool), 1.0, 1.0)
+    return PercolationGraph(g, np.concatenate([ring, np.ones(len(u), dtype=bool)]), 1.0, 1.0)
 
 
 def test_component_labels_match_uncontracted_labels():
@@ -470,12 +525,12 @@ def test_diameter_collapses_a_bridge_parallel_to_a_ring_edge():
     # path 0-1-2 on the ring with bridge {0, 1} doubling the first edge
     g = SmallWorldGraph(6, np.array([0]), np.array([1]), "matching")
     ring = np.array([True, True, False, False, False, False])
-    gp = PercolationGraph(g, ring, np.array([True]), 1.0, 1.0)
+    gp = PercolationGraph(g, np.concatenate([ring, np.array([True])]), 1.0, 1.0)
     assert component_diameter(gp, {0, 1, 2}) == 2
     # the same doubled edge inside a cycle 0-1-2-3-0 with a pendant 3-4-5
     g = SmallWorldGraph(6, np.array([0, 0]), np.array([1, 3]), "erdos:c=1")
     ring = np.array([True, True, True, True, True, False])
-    gp = PercolationGraph(g, ring, np.array([True, True]), 1.0, 1.0)
+    gp = PercolationGraph(g, np.concatenate([ring, np.array([True, True])]), 1.0, 1.0)
     comp = {0, 1, 2, 3, 4, 5}
     assert component_diameter(gp, comp) == _apsp_diameter(gp, comp) == 4
 
@@ -569,7 +624,7 @@ def _core_cases():
                   sample_regular(400, 3, rng)):
             cases.append(percolate(g, 0.6, 0.6, rng))
     for gp in cases:
-        u, v = graphs._as_edge_arrays(gp)
+        u, v = gp.active_edge_arrays()
         full = csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(gp.n, gp.n))
         full.data[:] = 1.0  # building from COO sums parallel edges
         nodes = np.array(sorted(connected_components(gp)[0]))

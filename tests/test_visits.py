@@ -46,7 +46,7 @@ def _hand_graph(n, bridges, retained_bridges=None, ring_off=(), tag="erdos:c=1")
     else:
         bmask = np.array([tuple(b) in {tuple(x) for x in retained_bridges}
                           for b in bridges])
-    return g, PercolationGraph(g, ring, bmask, 1.0, 1.0)
+    return g, PercolationGraph(g, np.concatenate([ring, bmask]), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
