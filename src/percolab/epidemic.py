@@ -28,7 +28,6 @@ from scipy.sparse import csgraph
 from .graphs import (
     GenericGraph,
     _check_probabilities,
-    _csr,
     _cut,
     _edge_matrix,
     bfs_order,
@@ -176,34 +175,36 @@ def _keys_fit_int64(n: int) -> bool:
 
 
 def _attempt_table(g, cfg: EpidemicConfig) -> tuple:
-    """(indptr, w, targets, keys, probabilities) of every attempt u -> v
-    along an edge of `g`: entries indptr[u]:indptr[u + 1] are u's CSR row,
-    and a ring-based graph adds w = 2 entries per node, u -> u - 1 at m + u
-    and u -> u + 1 at m + n + u (m = CSR length).  An attempt along an edge
-    of kind bit c (0 for a bridge B, 1 for a ring or plain edge R) is keyed
-    ((min*n + max)*2 + c)*2 + [v is the max], so sorting the keys sorts the
-    attempts by edge endpoints, B before R."""
+    """(indptr, targets, keys, probabilities) of every attempt u -> v along
+    an edge of `g`: row u, entries indptr[u]:indptr[u + 1], holds one entry
+    per edge id at u, ring edges included.  An attempt along an edge of kind
+    bit c (1 for an id below num_local, of kind R; 0 for a bridge, B) is
+    keyed ((min*n + max)*2 + c)*2 + [v is the max], so sorting the keys
+    sorts the attempts by edge endpoints, B before R."""
     n = g.n
     if not _keys_fit_int64(n):
         raise ValueError(f"n = {n} is too large for int64 attempt keys")
-    ring = g.num_ring > 0  # then the listed edges are bridges, of kind B
-    adj = _csr(n, *g.listed)
-    node = np.arange(n)
-    u, v = np.repeat(node, np.diff(adj.indptr)), adj.indices
-    r = len(v) if ring else 0  # the entries from r on have kind bit 1
-    if ring:
-        u = np.concatenate([u, node, node])
-        v = np.concatenate([v, (node - 1) % n, (node + 1) % n])
-    # each operator after the first reuses its temporary left operand
-    keys = (np.minimum(u, v) * n + np.maximum(u, v)) * 4 + (u < v)
-    keys[r:] += 2
+    ids = np.arange(g.num_edges)
+    u, v = g.ends(ids)
+    # one sort of the codes (source*n + target)*2 + c lays out the rows
+    target = np.concatenate([u * n + v, v * n + u]) * 2 + np.tile(ids < g.num_local, 2)
+    del ids, u, v
+    target.sort()
+    kind = (target & 1).astype(bool)
+    target >>= 1
+    source = target // n
+    target -= source * n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=n), out=indptr[1:])
+    # min*(n - 1) + source + target is min*n + max, built in one temporary
+    keys = ((np.minimum(source, target) * (n - 1) + source + target) * 2 + kind) * 2 \
+        + (source < target)
     if cfg.p_map is None:
-        probs = np.full(len(v), cfg.edge_prob(0, 1, "B"))
-        probs[r:] = cfg.edge_prob(0, 1, "R")
+        probs = np.where(kind, cfg.edge_prob(0, 1, "R"), cfg.edge_prob(0, 1, "B"))
     else:
-        probs = np.array([cfg.edge_prob(a, b, "R") for a, b in zip(u.tolist(), v.tolist())],
-                         dtype=float)
-    return adj.indptr, 2 if ring else 0, v, keys, probs
+        probs = np.array([cfg.edge_prob(a, b, "R")
+                          for a, b in zip(source.tolist(), target.tolist())], dtype=float)
+    return indptr, target, keys, probs
 
 
 def _run_block(table: tuple, I0: list, cfg: EpidemicConfig, block: int,
@@ -216,11 +217,10 @@ def _run_block(table: tuple, I0: list, cfg: EpidemicConfig, block: int,
     vector draw per step in (run, node) order.  Returns (history,
     susceptible, truncated): history[t] holds the (S, E, I, R) counts of
     every run after step t, and truncated says the step cap stopped a run."""
-    indptr, w, targets, keys, probs = table
+    indptr, targets, keys, probs = table
     n = len(indptr) - 1
     if max_steps is None:
         max_steps = 2 * n + 10
-    ring_entries = len(targets) - w * n + n * np.arange(w)[:, None]  # node 0's; u's are + u
     infectious = (np.arange(block)[:, None] * n + I0).ravel()
     age = np.zeros(len(infectious), dtype=np.int64)
     exposed = countdown = np.zeros(0, dtype=np.int64)
@@ -235,12 +235,9 @@ def _run_block(table: tuple, I0: list, cfg: EpidemicConfig, block: int,
         node = infectious % n
         starts = indptr[node]
         sizes = indptr[node + 1] - starts
+        offset = np.repeat(infectious - node, sizes)
         # each row's entries are its start plus their rank in it
-        entry = np.concatenate([
-            np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes),
-            (ring_entries + node).ravel()])
-        offset = np.concatenate([np.repeat(infectious - node, sizes),
-                                 np.tile(infectious - node, w)])
+        entry = np.arange(len(offset)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         target = offset + targets[entry]
         live = susceptible[target] != 0
         entry, offset, target = entry[live], offset[live], target[live]

@@ -80,7 +80,7 @@ class _EdgeIds:
     edge i joins i and i + 1 mod n, so edge n - 1 is (0, n - 1).  The ids
     from num_ring on are the listed edges, held as the pair of arrays
     `listed` (u < v).  Edges 0..num_local-1 are of kind R and are retained
-    with p_local, the rest of kind B, with p_bridge."""
+    with p_local, the rest of kind B, with p_bridge.  Graphs compare by identity."""
 
     @property
     def num_edges(self) -> int:
@@ -107,7 +107,7 @@ class _EdgeIds:
             yield a, b, "R" if i < self.num_local else "B"
 
 
-@dataclass
+@dataclass(eq=False)
 class SmallWorldGraph(_EdgeIds):
     """Ring on n nodes plus a set of bridge edges.
 
@@ -145,7 +145,7 @@ class SmallWorldGraph(_EdgeIds):
         return 2 + len(self.bridge_adjacency()[v])
 
 
-@dataclass
+@dataclass(eq=False)
 class GenericGraph(_EdgeIds):
     """Arbitrary undirected graph given by explicit edge arrays: it has no
     ring, and its edges, all listed and all of kind R, keep their order as
@@ -175,17 +175,17 @@ class GenericGraph(_EdgeIds):
         return self.edge_u, self.edge_v
 
 
-@dataclass
+@dataclass(eq=False)
 class PercolationGraph:
     """Retained-edge subgraph of a base graph after bond percolation.
 
     retained[i] says whether edge id i of the base survived.  `ring_active`
     (None without a ring) and `bridge_active` are views of its ring part and
     of its listed part, so writes to them go through to it.  Like the base
-    graphs it is treated as immutable.  `uniforms` holds the per-edge
-    retention uniforms the mask was cut from (see `percolate_coupled`), so
-    that the draw can be cut again at other probabilities; it is None for a
-    graph built from a mask alone.
+    graphs it is treated as immutable and compares by identity.  `uniforms`
+    holds the per-edge retention uniforms the mask was cut from (see
+    `percolate_coupled`), so that the draw can be cut again at other
+    probabilities; it is None for a graph built from a mask alone.
     """
 
     base: object
@@ -306,8 +306,10 @@ def sample_swg_matching(n: int, rng: np.random.Generator) -> SmallWorldGraph:
     return SmallWorldGraph(n, u, partner[u], "matching")
 
 
-def sample_regular(n: int, d: int, rng: np.random.Generator,
-                   max_tries: int = 200) -> GenericGraph:
+_REGULAR_TRIES = 200  # whole pairings `sample_regular` draws before it gives up
+
+
+def sample_regular(n: int, d: int, rng: np.random.Generator) -> GenericGraph:
     """Random d-regular simple graph via stub matching with retry.
 
     Pairs up node stubs uniformly and resamples whenever the pairing produces
@@ -319,7 +321,7 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         perm = rng.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
         if np.any(a == b):
@@ -335,7 +337,7 @@ def sample_regular(n: int, d: int, rng: np.random.Generator,
             continue
         return GenericGraph(n, u[order], v[order])
     # a pairing is simple with probability about exp(-(d^2 - 1) / 4)
-    raise ValueError(f"no simple {d}-regular pairing in {max_tries} tries; "
+    raise ValueError(f"no simple {d}-regular pairing in {_REGULAR_TRIES} tries; "
                      "stub matching rarely succeeds for d >= 5")
 
 

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import shortest_path
 from percolab import epidemic
 from percolab.epidemic import (
     EpidemicConfig,
+    _attempt_table,
     _keys_fit_int64,
     _simulate,
     exact_final_size_law,
@@ -366,6 +367,30 @@ def test_recovered_set_within_percolation_component():
 # ---------------------------------------------------------------------------
 # the simulator against the set-based oracle
 # ---------------------------------------------------------------------------
+
+def test_attempt_rows_hold_every_edge_id_both_ways():
+    rng = Seed(25).generator()
+    doubled = SmallWorldGraph(8, np.array([0, 0, 2]), np.array([1, 7, 5]), "erdos:c=1")
+    graphs = [doubled, sample_swg_erdos(60, 2.0, rng), sample_swg_matching(60, rng),
+              sample_regular(60, 3, rng), fixture_graph(),
+              GenericGraph(4, np.array([0, 0, 1]), np.array([1, 1, 3]))]
+    cfg = EpidemicConfig(p_local=0.3, p_bridge=0.8)
+    for g in graphs:
+        n = g.n
+        indptr, targets, keys, probs = _attempt_table(g, cfg)
+        want = [[] for _ in range(n)]
+        for i, (a, b, _) in enumerate(g.edges()):
+            c = int(i < g.num_local)
+            for x, y in ((a, b), (b, a)):
+                want[x].append((y, ((min(x, y) * n + max(x, y)) * 2 + c) * 2 + (x < y)))
+        assert indptr[0] == 0 and indptr[-1] == len(targets) == 2 * g.num_edges
+        for u in range(n):
+            row = slice(indptr[u], indptr[u + 1])
+            assert sorted(zip(targets[row].tolist(), keys[row].tolist())) == sorted(want[u])
+        assert probs.tolist() == [0.3 if k & 2 else 0.8 for k in keys.tolist()]
+        if g.num_ring:
+            assert len(set(keys.tolist())) == len(keys)
+
 
 def test_traces_are_bit_identical_to_the_set_based_simulator():
     rng = Seed(21).generator()

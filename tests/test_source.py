@@ -27,3 +27,24 @@ def test_src_has_no_graph_type_branches():
              and any(getattr(name, "id", getattr(name, "attr", None)) in types
                      for name in ast.walk(node.args[1]))]
     assert found == []
+
+
+def test_src_has_no_unused_imports():
+    # __init__.py imports to re-export; a name any other module imports must
+    # be read there
+    found = []
+    for path in sorted(_SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(_SRC)}:{node.lineno} {name}"
+                      for name in names if name not in used]
+    assert found == []
