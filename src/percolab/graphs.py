@@ -16,9 +16,6 @@ from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cc
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +23,13 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 # ---------------------------------------------------------------------------
 
 def _check_edge_arrays(n: int, u: np.ndarray, v: np.ndarray, what: str) -> None:
+    for ends in (u, v):
+        if not isinstance(ends, np.ndarray) or ends.ndim != 1:
+            raise ValueError(f"{what} arrays must be one-dimensional numpy arrays")
+        if ends.dtype.kind != "i":
+            raise ValueError(f"{what} arrays must have a signed integer dtype, not {ends.dtype}")
+    if len(u) != len(v):
+        raise ValueError(f"{what} arrays must have equal lengths, not {len(u)} and {len(v)}")
     if np.any(u >= v):
         raise ValueError(f"{what} arrays must satisfy u < v")
     if len(u) and (u.min() < 0 or v.max() >= n):
@@ -418,18 +422,44 @@ def _ring_arcs(ring: np.ndarray) -> tuple:
     return arc, k
 
 
-def _edge_matrix(k: int, u: np.ndarray, v: np.ndarray) -> csr_matrix:
-    """CSR matrix of the k-node graph with one unit entry per edge
-    (u[i], v[i]) in row u[i], built directly: the row bounds are a bincount
-    of u and the rows one argsort of it.  scipy's undirected routines read
-    both directions off it, and neither their components nor their
-    distances depend on the order within a row, so the sort need not be
-    stable (on edges in random order a stable sort takes about five times
-    as long)."""
+# scipy is imported where a graph is first labelled, swept or searched with
+# it, so a process that does none of these never loads it
+
+def _matrix(indptr: np.ndarray, indices: np.ndarray, data: Optional[np.ndarray] = None):
+    """scipy CSR matrix of the square graph whose row w holds the entries
+    indices[indptr[w]:indptr[w + 1]], each of weight 1 unless `data` gives
+    the weights."""
+    from scipy.sparse import csr_matrix
+    k = len(indptr) - 1
+    if data is None:
+        data = np.ones(len(indices))
+    return csr_matrix((data, indices, indptr), shape=(k, k))
+
+
+def _edge_matrix(k: int, u: np.ndarray, v: np.ndarray, w: Optional[np.ndarray] = None):
+    """CSR matrix of the k-node graph with one entry per edge (u[i], v[i])
+    in row u[i], of weight w[i] (1 without w), built directly: the row
+    bounds are a bincount of u and the rows one argsort of it.  scipy's
+    undirected routines read both directions off it, and neither their
+    components nor their distances depend on the order within a row, so the
+    sort need not be stable (on edges in random order a stable sort takes
+    about five times as long)."""
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=k), out=indptr[1:])
-    indices = v[np.argsort(u)]
-    return csr_matrix((np.ones(len(u)), indices, indptr), shape=(k, k))
+    order = np.argsort(u)
+    return _matrix(indptr, v[order], None if w is None else w[order])
+
+
+def _cc(graph, **kwargs) -> tuple:
+    """scipy's `connected_components`."""
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(graph, **kwargs)
+
+
+def _dijkstra(graph, **kwargs) -> np.ndarray:
+    """scipy's `dijkstra`: one call is one sweep of `component_diameter`."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(graph, **kwargs)
 
 
 def component_labels(gp) -> tuple:
@@ -539,16 +569,24 @@ def bfs_order(sources, neighbours) -> tuple:
     return order, found
 
 
-def _induced_edges(nodes: np.ndarray, k: int, u: np.ndarray, v: np.ndarray) -> tuple:
-    """The distinct edges (u[i], v[i]) of a k-node graph with both ends in
-    the sorted array `nodes`, relabelled to their positions there (so u < v
-    still holds): a bridge that doubles a ring edge is one edge."""
+def _indicator(nodes: np.ndarray, k: int) -> np.ndarray:
+    """k-byte mask whose entries at `nodes` are set."""
+    member = np.zeros(k, dtype=bool)
+    member[nodes] = True
+    return member
+
+
+def _induced_edges(nodes: np.ndarray, member: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> tuple:
+    """The distinct edges (u[i], v[i]) with both ends in the sorted array
+    `nodes`, whose indicator is `member`, relabelled to their positions
+    there (so u < v still holds): a bridge that doubles a ring edge is one
+    edge.  Only the edges kept are relabelled, by binary search."""
     m = len(nodes)
-    pos = np.full(k, -1, dtype=np.int64)
-    pos[nodes] = np.arange(m)
-    u, v = pos[u], pos[v]
+    kept = np.flatnonzero(member.take(u) & member.take(v))
+    u, v = np.searchsorted(nodes, u.take(kept)), np.searchsorted(nodes, v.take(kept))
     # merges the sorted ring and bridge runs; np.unique takes ~14x as long
-    keys = np.sort((u * m + v)[(u >= 0) & (v >= 0)], kind="stable")
+    keys = np.sort(u * m + v, kind="stable")
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return keys // m, keys % m
 
@@ -656,8 +694,8 @@ class _ChainCore:
         self.pos = np.full(m, -1, dtype=np.int64)
         self.pos[node] = np.arange(len(node))
         # the branch graph from every walker's (a, b, L), less the loops and
-        # all but the shortest of parallel chains (building from COO would
-        # sum them), plus a source row k for sweeps from a chain node: no
+        # all but the shortest of parallel chains (the matrix would keep
+        # them all), plus a source row k for sweeps from a chain node: no
         # edge leads into k, and `distances` points its two entries, the
         # last of the CSR, at the chain's ends
         a, b = bid[start], bid[end]
@@ -668,10 +706,9 @@ class _ChainCore:
         shortest = np.ones(len(lo), dtype=bool)
         shortest[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         lo, hi, w = lo[shortest], hi[shortest], w[shortest]
-        self.graph = csr_matrix(
-            (np.concatenate([w, w, [1, 1]]).astype(np.float64),
-             (np.concatenate([lo, hi, [k, k]]), np.concatenate([hi, lo, [0, k]]))),
-            shape=(k + 1, k + 1))
+        self.graph = _edge_matrix(k + 1, np.concatenate([lo, hi, [k, k]]),
+                                  np.concatenate([hi, lo, [0, k]]),
+                                  np.concatenate([w, w, [1, 1]]).astype(np.float64))
 
     def distances(self, s: int) -> np.ndarray:
         """Hop distances from node s to every node, from one `_dijkstra`
@@ -741,13 +778,29 @@ def component_diameter(gp, component) -> int:
     m = len(nodes)
     if m == 1:
         return 0
-    u, v = _induced_edges(nodes, gp.n, *gp.active_edge_arrays())
-    if _cc(_edge_matrix(m, u, v), directed=False)[0] != 1:
+    from scipy.sparse.csgraph import breadth_first_order
+    member = _indicator(nodes, gp.n)
+    if gp.num_ring:
+        # the nodes' own ring edges (edge x joins x and x + 1 mod n) and the
+        # listed edges with a first end among them, in id order as
+        # active_edge_arrays lists them: one mask pass reads the listed
+        # edges, and no array as long as the retained edges is built
+        first = gp.base.listed[0]
+        ids = np.concatenate([nodes, gp.num_ring + np.flatnonzero(member.take(first))])
+        u, v = gp.base.ends(ids[gp.retained.take(ids)])
+    else:
+        u, v = gp.active_edge_arrays()
+    u, v = _induced_edges(nodes, member, u, v)
+    adj = _csr(m, u, v)
+    # both directions of every edge are stored, so a directed search from
+    # node 0 reaches its whole component
+    if not m or len(breadth_first_order(_matrix(adj.indptr, adj.indices), 0,
+                                        directed=True, return_predecessors=False)) != m:
         raise ValueError("component is not connected in the graph")
-    core, h, diam = _peel_pendant_trees(_csr(m, u, v))
+    core, h, diam = _peel_pendant_trees(adj)
     if len(core) <= 1:
         return diam
-    sub = _csr(len(core), *_induced_edges(core, m, u, v))
+    sub = _csr(len(core), *_induced_edges(core, _indicator(core, m), u, v))
     chains = _ChainCore(sub)
     h = h[core].astype(np.float64)
     e_lo = h.copy()

@@ -22,10 +22,8 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
-from .graphs import PercolationGraph, SmallWorldGraph, _csr, bfs_order
+from .graphs import PercolationGraph, SmallWorldGraph, _csr, _matrix, bfs_order
 from .local_clusters import RingOccupancy, local_cluster, truncated_local_cluster
 
 # termination reasons
@@ -416,11 +414,11 @@ def plain_bfs(gp: PercolationGraph, s: int, flavor: str = "neighbor") -> VisitTr
         raise ValueError(f"unknown flavor: {flavor}")
     _check_node(gp.n, s)
     if flavor == "neighbor":
+        from scipy.sparse.csgraph import breadth_first_order
         sources = [s]
         adj = _csr(gp.n, *gp.active_edge_arrays())
-        graph = csr_matrix((np.ones(len(adj.indices)), adj.indices, adj.indptr),
-                           shape=(gp.n, gp.n))
-        order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
+        order, pred = breadth_first_order(_matrix(adj.indptr, adj.indices), s,
+                                          directed=True, return_predecessors=True)
         # found[i] counts the nodes first reached from order[i], their
         # predecessor; the source has none
         rank = np.empty(gp.n, dtype=np.int64)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -453,3 +455,62 @@ def test_csv_bytes_do_not_depend_on_the_write_block(runner, swg_fixture, tmp_pat
             assert res.exit_code == 0, res.output
             outs.append(_read(out))
         assert outs[0].count(b"\n") >= 3 and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+_FRESH_PROCESS = """
+import json, sys
+import percolab.cli
+
+def unloaded():
+    return [m for m in ("scipy", "multiprocessing") if m not in sys.modules]
+
+def run(*args):
+    try:
+        percolab.cli.main(list(args))
+    except SystemExit as exc:
+        return exc.code or 0
+
+report = {"import": unloaded()}
+report["codes"] = [
+    run("generate", "--model", "swg", "--n", "2000", "--seed", "1", "--out", "g.edges"),
+    run("percolate", "--graph", "g.edges", "--p-local", "0.5", "--seed", "2", "--out", "p.csv"),
+    run("epidemic", "--graph", "g.edges", "--p", "0.3", "--seed", "3", "--out", "e.csv"),
+    run("gw", "--law", "binomial:3:0.4", "--trials", "200", "--seed", "4", "--out", "gw.csv"),
+    run("visit", "--graph", "g.edges", "--algorithm", "union", "--p-local", "0.55",
+        "--seed", "5", "--out", "u.csv"),
+    run("visit", "--graph", "g.edges", "--algorithm", "search", "--p-local", "0.55",
+        "--seed", "5", "--out", "s.csv"),
+]
+report["commands"] = unloaded()
+report["refusal_code"] = run("generate", "--model", "swg", "--n", "-5", "--out", "bad.edges")
+report["refusal"] = unloaded()
+report["components_code"] = run("components", "--graph", "g.edges", "--p-local", "0.55",
+                                "--seed", "6", "--out", "cc.csv")
+report["components"] = unloaded()
+report["threshold_code"] = run("threshold", "--model", "matching", "--n", "5000", "--trials", "6",
+                               "--tol", "0.1", "--seed", "4", "--jobs", "1", "--out", "th.csv")
+report["threshold"] = unloaded()
+print(json.dumps(report))
+"""
+
+
+def test_cli_loads_scipy_and_multiprocessing_only_where_a_command_uses_them(runner, tmp_path):
+    # a fresh interpreter, since this one has imported scipy long since
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    both = ["scipy", "multiprocessing"]
+    assert report["import"] == both
+    assert report["codes"] == [0] * 6
+    assert report["commands"] == both
+    assert (report["refusal_code"], report["refusal"]) == (2, both)
+    assert (report["components_code"], report["components"]) == (0, ["multiprocessing"])
+    assert report["threshold_code"] in (0, 3) and report["threshold"] == ["multiprocessing"]
+    out = tmp_path / "in_process.csv"
+    res = runner.invoke(main, ["components", "--graph", str(tmp_path / "g.edges"),
+                               "--p-local", "0.55", "--seed", "6", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert _read(tmp_path / "cc.csv") == _read(out)

@@ -577,8 +577,9 @@ def test_diameter_rejects_disconnected_input():
     rng = Seed(14).generator()
     g = sample_swg_erdos(50, 1.0, rng)
     gp = percolate(g, 0.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        component_diameter(gp, {0, 5})
+    for nodes in ({0, 5}, set()):
+        with pytest.raises(ValueError, match="not connected"):
+            component_diameter(gp, nodes)
     ring = percolate(sample_swg_erdos(10, 0.0, rng), 1.0, 1.0, rng)
     for nodes in ([-1, 0], [9, 10], [0, 1, 1]):
         with pytest.raises(ValueError, match="lie in|twice"):
@@ -752,6 +753,24 @@ def test_graphs_reject_nodes_out_of_range():
         GenericGraph(4, np.array([0, 1]), np.array([1, 4]))
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         GenericGraph(4, np.array([-2]), np.array([1]))
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (np.array([0, 1, 2]), np.array([4]), "equal lengths, not 3 and 1"),
+    (np.array([0, 1]), np.array([2, 3, 4]), "equal lengths, not 2 and 3"),
+    (np.array([[0, 1]]), np.array([[2, 3]]), "one-dimensional"),
+    (np.array([0]), np.array([[2]]), "one-dimensional"),
+    ([0, 1], [2, 3], "numpy arrays"),
+    (np.array([0.5]), np.array([2.0]), "signed integer dtype, not float64"),
+    (np.array([0]), np.array([True]), "signed integer dtype, not bool"),
+    (np.array([0], dtype=np.uint64), np.array([2]), "signed integer dtype, not uint64"),
+])
+def test_graphs_reject_malformed_edge_arrays(u, v, message):
+    # broadcasting would let these through the u < v and range checks
+    with pytest.raises(ValueError, match=message):
+        GenericGraph(5, u, v)
+    with pytest.raises(ValueError, match=message):
+        SmallWorldGraph(5, u, v, "erdos:c=1")
 
 
 def _write_edges(tmp_path, text):
