@@ -779,18 +779,7 @@ def component_diameter(gp, component) -> int:
     if m == 1:
         return 0
     from scipy.sparse.csgraph import breadth_first_order
-    member = _indicator(nodes, gp.n)
-    if gp.num_ring:
-        # the nodes' own ring edges (edge x joins x and x + 1 mod n) and the
-        # listed edges with a first end among them, in id order as
-        # active_edge_arrays lists them: one mask pass reads the listed
-        # edges, and no array as long as the retained edges is built
-        first = gp.base.listed[0]
-        ids = np.concatenate([nodes, gp.num_ring + np.flatnonzero(member.take(first))])
-        u, v = gp.base.ends(ids[gp.retained.take(ids)])
-    else:
-        u, v = gp.active_edge_arrays()
-    u, v = _induced_edges(nodes, member, u, v)
+    u, v = _induced_edges(nodes, _indicator(nodes, gp.n), *gp.active_edge_arrays())
     adj = _csr(m, u, v)
     # both directions of every edge are stored, so a directed search from
     # node 0 reaches its whole component

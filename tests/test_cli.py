@@ -508,7 +508,8 @@ def test_cli_loads_scipy_and_multiprocessing_only_where_a_command_uses_them(runn
     assert report["commands"] == both
     assert (report["refusal_code"], report["refusal"]) == (2, both)
     assert (report["components_code"], report["components"]) == (0, ["multiprocessing"])
-    assert report["threshold_code"] in (0, 3) and report["threshold"] == ["multiprocessing"]
+    # seed 4 leaves an ambiguous classification inside the bracket: exit 3
+    assert (report["threshold_code"], report["threshold"]) == (3, ["multiprocessing"])
     out = tmp_path / "in_process.csv"
     res = runner.invoke(main, ["components", "--graph", str(tmp_path / "g.edges"),
                                "--p-local", "0.55", "--seed", "6", "--out", str(out)])
