@@ -432,7 +432,7 @@ def _scaling_trial(model: ModelSpec, n: int, p: float,
                    seed: rngmod.Seed, size_cap: int) -> tuple:
     gp, _ = model.percolated(n, p, seed)
     giant = connected_components(gp)[0]
-    if len(giant) > size_cap or len(giant) < 2:
+    if len(giant) > size_cap:
         return len(giant), None
     return len(giant), component_diameter(gp, giant)
 
@@ -442,14 +442,15 @@ def scaling_study(model: ModelSpec, p: float, n_list, trials: int,
                   size_cap: int = DIAMETER_SIZE_CAP) -> list:
     """Per-n medians of the largest component size, fraction, and exact
     diameter.  Diameter is skipped (flagged) when a component exceeds
-    size_cap nodes."""
+    size_cap nodes.  Every n is validated before the first trial runs."""
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    for n in n_list:
+        model.validate_n(n)
     rows = []
     for block, n in enumerate(n_list):
-        model.validate_n(n)
         sub = rngmod.derive(seed, block)
         args = [(model, n, p, rngmod.derive(sub, i), size_cap)
                 for i in range(trials)]

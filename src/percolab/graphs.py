@@ -64,18 +64,22 @@ class Adjacency:
         return tuple(self._indices[indptr[w]:indptr[w + 1]])
 
 
-def _csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
+def _csr(n: int, u: np.ndarray, v: np.ndarray, simple: bool = False) -> Adjacency:
     """Adjacency of the undirected edges (u[k], v[k]) on nodes 0..n-1, each
-    node's neighbours sorted (a multi-edge lists its neighbour twice), as
-    int64 arrays.  One sort of the keys end*n + other orders the rows, so
-    n*n must fit an int64."""
+    node's neighbours sorted (a multi-edge lists its neighbour twice, or
+    once when `simple`), as int64 arrays.  One sort of the keys
+    end*n + other orders the rows, so n*n must fit an int64."""
     if int(n) ** 2 >= 2 ** 63:
         raise ValueError(f"n = {n} is too large for a CSR adjacency")
     ends = np.concatenate([u, v]).astype(np.int64, copy=False)
     keys = np.sort(ends * n + np.concatenate([v, u]))
+    if simple:
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    # a subtraction finds the columns several times as fast as keys % n
+    rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    return Adjacency(indptr, keys % n)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Adjacency(indptr, keys - rows * n)
 
 
 class _EdgeIds:
@@ -173,10 +177,14 @@ class GenericGraph(_EdgeIds):
             self._adj = _csr(self.n, self.edge_u, self.edge_v)
         return self._adj
 
-    def active_edge_arrays(self) -> tuple:
-        """(u, v) arrays of every edge: the component functions read a
+    def active_edge_arrays(self, member: Optional[np.ndarray] = None) -> tuple:
+        """(u, v) arrays of every edge, or of those with both ends set in
+        the n-byte mask `member`: the component functions read a
         GenericGraph as one that keeps them all."""
-        return self.edge_u, self.edge_v
+        if member is None:
+            return self.edge_u, self.edge_v
+        kept = np.flatnonzero(member.take(self.edge_u) & member.take(self.edge_v))
+        return self.edge_u.take(kept), self.edge_v.take(kept)
 
 
 @dataclass(eq=False)
@@ -215,10 +223,19 @@ class PercolationGraph:
     def bridge_active(self) -> np.ndarray:
         return self.retained[self.num_ring:]
 
-    def active_edge_arrays(self) -> tuple:
+    def active_edge_arrays(self, member: Optional[np.ndarray] = None) -> tuple:
         """(u, v) arrays of all retained edges in id order, so retained ring
-        edges first."""
-        return self.base.ends(np.flatnonzero(self.retained))
+        edges first, or of those with both ends set in the n-byte mask
+        `member`."""
+        if member is None:
+            return self.base.ends(np.flatnonzero(self.retained))
+        # ring edge i joins i and i + 1 mod n; a listed edge is tested at
+        # its first end, and the few that pass at their second
+        r, (lu, lv) = self.num_ring, self.base.listed
+        ring = np.flatnonzero(self.retained[:r] & member[:r] & np.roll(member, -1)[:r])
+        listed = np.flatnonzero(self.bridge_active & member.take(lu))
+        listed = listed.compress(member.take(lv.take(listed)))
+        return self.base.ends(np.concatenate([ring, listed + r]))
 
     def retained_bridge_adjacency(self) -> Adjacency:
         """Per-node sorted retained neighbours along the base's listed edges
@@ -436,18 +453,16 @@ def _matrix(indptr: np.ndarray, indices: np.ndarray, data: Optional[np.ndarray] 
     return csr_matrix((data, indices, indptr), shape=(k, k))
 
 
-def _edge_matrix(k: int, u: np.ndarray, v: np.ndarray, w: Optional[np.ndarray] = None):
-    """CSR matrix of the k-node graph with one entry per edge (u[i], v[i])
-    in row u[i], of weight w[i] (1 without w), built directly: the row
-    bounds are a bincount of u and the rows one argsort of it.  scipy's
-    undirected routines read both directions off it, and neither their
-    components nor their distances depend on the order within a row, so the
-    sort need not be stable (on edges in random order a stable sort takes
-    about five times as long)."""
+def _edge_matrix(k: int, u: np.ndarray, v: np.ndarray):
+    """CSR matrix of the k-node graph with one entry of weight 1 per edge
+    (u[i], v[i]) in row u[i], built directly: the row bounds are a bincount
+    of u and the rows one argsort of it.  scipy's undirected routines read
+    both directions off it, and their components do not depend on the order
+    within a row, so the sort need not be stable (on edges in random order a
+    stable sort takes about five times as long)."""
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=k), out=indptr[1:])
-    order = np.argsort(u)
-    return _matrix(indptr, v[order], None if w is None else w[order])
+    return _matrix(indptr, v[np.argsort(u)])
 
 
 def _cc(graph, **kwargs) -> tuple:
@@ -569,26 +584,48 @@ def bfs_order(sources, neighbours) -> tuple:
     return order, found
 
 
-def _indicator(nodes: np.ndarray, k: int) -> np.ndarray:
-    """k-byte mask whose entries at `nodes` are set."""
-    member = np.zeros(k, dtype=bool)
+def _component_csr(gp, nodes: np.ndarray) -> Adjacency:
+    """Simple-graph adjacency of the subgraph of gp induced by the sorted,
+    distinct `nodes`, node i standing for nodes[i]: a bridge that doubles a
+    ring edge is one edge.  An n-byte mask selects the retained edges with
+    both ends in `nodes`, and one position map, written only at `nodes`,
+    relabels them."""
+    member = np.zeros(gp.n, dtype=bool)
     member[nodes] = True
-    return member
+    pos = np.empty(gp.n, dtype=np.int64)
+    pos[nodes] = np.arange(len(nodes))
+    u, v = gp.active_edge_arrays(member)
+    return _csr(len(nodes), pos.take(u), pos.take(v), simple=True)
 
 
-def _induced_edges(nodes: np.ndarray, member: np.ndarray, u: np.ndarray,
-                   v: np.ndarray) -> tuple:
-    """The distinct edges (u[i], v[i]) with both ends in the sorted array
-    `nodes`, whose indicator is `member`, relabelled to their positions
-    there (so u < v still holds): a bridge that doubles a ring edge is one
-    edge.  Only the edges kept are relabelled, by binary search."""
-    m = len(nodes)
-    kept = np.flatnonzero(member.take(u) & member.take(v))
-    u, v = np.searchsorted(nodes, u.take(kept)), np.searchsorted(nodes, v.take(kept))
-    # merges the sorted ring and bridge runs; np.unique takes ~14x as long
-    keys = np.sort(u * m + v, kind="stable")
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return keys // m, keys % m
+def _kept_rows(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row bounds of a CSR with row bounds `indptr` cut down to the entries
+    where `keep` holds."""
+    c = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=c[1:])
+    return c.take(indptr)
+
+
+def _row_xor(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """XOR of each row's entries of a CSR, read off one running XOR (about
+    twice as fast as np.bitwise_xor.reduceat)."""
+    run = np.zeros(len(indices) + 1, dtype=indices.dtype)
+    np.bitwise_xor.accumulate(indices, out=run[1:])
+    return run.take(indptr[1:]) ^ run.take(indptr[:-1])
+
+
+def _core_csr(adj: Adjacency, core: np.ndarray) -> Adjacency:
+    """The subgraph of adj induced by the sorted nodes `core`, node i
+    standing for core[i], cut from adj's CSR with one mask over its entries,
+    so every row stays sorted."""
+    m = len(adj.indptr) - 1
+    alive = np.zeros(m, dtype=bool)
+    alive[core] = True
+    keep = np.repeat(alive, np.diff(adj.indptr)) & alive.take(adj.indices)
+    indptr = _kept_rows(adj.indptr, keep).take(np.append(core, m))
+    pos = np.empty(m, dtype=np.int64)
+    pos[core] = np.arange(len(core))
+    return Adjacency(indptr, pos.take(adj.indices.compress(keep)))
 
 
 def _peel_pendant_trees(adj: Adjacency) -> tuple:
@@ -602,29 +639,34 @@ def _peel_pendant_trees(adj: Adjacency) -> tuple:
     """
     m = len(adj.indptr) - 1
     deg = np.diff(adj.indptr)
-    nb_xor = np.bitwise_xor.reduceat(adj.indices, adj.indptr[:-1])
+    nb_xor = _row_xor(adj.indptr, adj.indices)
     alive = np.ones(m, dtype=bool)
     h = np.zeros(m, dtype=np.int64)
     tree_diam = 0
     leaves = np.flatnonzero(deg == 1)
     r = 0
     while len(leaves):
-        parents = nb_xor[leaves]
+        parents = nb_xor.take(leaves)
         # np.unique would cost several times as much as the sort and mask
         ranked = np.sort(parents)
-        repeat = ranked[1:] == ranked[:-1]
+        fresh = ranked[1:] != ranked[:-1]
         # two leaves on one parent join into a path of 2r+2; otherwise the
         # new branch extends the parent's tallest earlier branch (height <= r)
-        if repeat.any():
+        repeated = not fresh.all()
+        if repeated:
             tree_diam = max(tree_diam, 2 * r + 2)
         else:
-            tree_diam = max(tree_diam, r + 1 + int(h[parents].max()))
+            tree_diam = max(tree_diam, r + 1 + int(h.take(parents).max()))
         h[parents] = r + 1
         alive[leaves] = False
         np.subtract.at(deg, parents, 1)
         np.bitwise_xor.at(nb_xor, parents, leaves)
-        first = np.concatenate(([True], ~repeat))
-        leaves = ranked[first & (deg[ranked] == 1) & alive[ranked]]
+        # each parent left with one edge, once; a parent that was itself a
+        # leaf this round is left with none
+        single = deg.take(ranked) == 1
+        if repeated:
+            single[1:] &= fresh
+        leaves = ranked.compress(single)
         r += 1
     return np.flatnonzero(alive), h, tree_diam
 
@@ -637,102 +679,127 @@ class _ChainCore:
     its node 0 stands in.  Every other node lies inside a chain: a path of
     L hops between branch nodes a and b (a == b for a loop) whose inner
     nodes have degree 2, at offset t from a.  The branch graph joins a and
-    b by an edge of weight L, the shortest of parallel chains; loops are
-    dropped, since no shortest path runs round one.  A path to a chain node
-    enters its chain at a or b, so node y at (a, b, t, L) lies at
-    min(D[a] + t, D[b] + L - t) from a source whose branch distances are D.
+    b by an edge of weight L; parallel chains and loops stay in it, since a
+    sweep relaxes every edge and no shortest path runs round a loop, so its
+    rows are the core's branch rows with each chain entry redirected.  A path
+    to a chain node enters its chain at a or b, so node y at (a, b, t, L)
+    lies at min(D[a] + t, D[b] + L - t) from a source whose branch distances
+    are D.
+
+    One depth-first search finds every chain.  Row m + i of its graph leads
+    to branch node i and then to row m + i + 1, a branch node's row keeps
+    its edges into chains and a chain node's row its edges to chain nodes.
+    The search therefore walks each chain in one go, from the end a it
+    reaches first, and lists the chain's nodes together in order of t.
     """
 
     def __init__(self, core: Adjacency):
-        m = len(core.indptr) - 1
-        deg = np.diff(core.indptr)
+        indptr, indices = core.indptr, core.indices
+        m = len(indptr) - 1
+        deg = np.diff(indptr)
         branch = np.flatnonzero(deg > 2)
         if not len(branch):
             branch = np.zeros(1, dtype=np.int64)
         k = len(branch)
         bid = np.full(m, -1, dtype=np.int64)
         bid[branch] = np.arange(k)
-        nb_xor = np.bitwise_xor.reduceat(core.indices, core.indptr[:-1])
-        # one walker leaves each branch node along each of its edges, so each
-        # chain is walked from both ends, every chain in lockstep; a degree-2
-        # node's next node is the XOR of its neighbours with the one it came
-        # from
-        rows = np.repeat(np.arange(m), deg)
-        outgoing = bid[rows] >= 0
-        start, first = rows[outgoing], core.indices[outgoing]
-        end, last = first.copy(), start.copy()
-        length = np.ones(len(start), dtype=np.int64)
-        walking = np.flatnonzero(bid[first] < 0)
-        prev, cur = start[walking], first[walking]
-        # (walker, inner node, hops from its start) of every step taken
-        steps = [(np.empty(0, dtype=np.int64),) * 3]
-        hops = 1
-        while len(walking):
-            steps.append((walking, cur, np.full(len(cur), hops)))
-            prev, cur = cur, nb_xor[cur] ^ prev
-            hops += 1
-            done = bid[cur] >= 0
-            w = walking[done]
-            end[w], last[w], length[w] = cur[done], prev[done], hops
-            walking, prev, cur = walking[~done], prev[~done], cur[~done]
-        # each chain keeps the walker that set out from its smaller end (on a
-        # loop, towards the smaller of its first and last inner nodes), and
-        # sorting by walker makes each chain's inner nodes contiguous, in
-        # order of t
-        walker, node, t = (np.concatenate(col) for col in zip(*steps))
-        mine = (start < end) | ((start == end) & (first < last))
-        keep = mine[walker]
-        order = np.argsort(walker[keep], kind="stable")
-        walker, node, t = walker[keep][order], node[keep][order], t[keep][order]
-        # node y lies t[y] hops from branch a[y] and rest[y] from b[y]; a
-        # branch node is its own a and b, at 0 hops
-        self.k, self.bid, self.node = k, bid, node
-        self.a, self.b = bid.copy(), bid.copy()
-        self.a[node], self.b[node] = bid[start[walker]], bid[end[walker]]
-        self.t, self.rest = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-        self.t[node], self.rest[node] = t, length[walker] - t
-        self.pos = np.full(m, -1, dtype=np.int64)
+        inward = bid.take(indices) < 0
+        links = np.empty(2 * k, dtype=np.int64)
+        links[0::2] = branch
+        links[1::2] = np.minimum(np.arange(m + 1, m + k + 1), m + k - 1)
+        walk_indptr = _kept_rows(indptr, inward)
+        walk = _matrix(np.concatenate([walk_indptr, walk_indptr[-1] + 2 * np.arange(1, k + 1)]),
+                       np.concatenate([indices.compress(inward), links]))
+        from scipy.sparse.csgraph import depth_first_order
+        order, pred = depth_first_order(walk, m, directed=True, return_predecessors=True)
+        node = order.compress(np.concatenate([bid < 0, np.zeros(k, dtype=bool)]).take(order))
+        # a chain starts where the search came from a branch node, and its
+        # far end b is the neighbour of its last node other than the one
+        # the search came from
+        came = pred.take(node)
+        starts = np.flatnonzero(bid.take(came) >= 0)
+        stops = np.append(starts, len(node))[1:]
+        last = node.take(stops - 1)
+        a = bid.take(came.take(starts))
+        row = indptr.take(last)
+        b = bid.take(indices.take(row) + indices.take(row + 1) - pred.take(last))
+        length = stops - starts + 1
+        chain = np.repeat(np.arange(len(starts)), stops - starts)
+        t = np.arange(1, len(node) + 1) - starts.take(chain)
+        # node y lies offset[y] hops from ends[y] (its a) and offset[m + y]
+        # from ends[m + y] (its b); a branch node is its own a and b, at 0
+        # hops
+        self.k, self.bid, self.node, self.node_t = k, bid, node, t
+        self.ends = np.concatenate([bid, bid])
+        self.ends[node], self.ends[m + node] = a.take(chain), b.take(chain)
+        self.offset = np.zeros(2 * m)
+        self.offset[node], self.offset[m + node] = t, length.take(chain) - t
+        self.pos = np.zeros(m, dtype=np.int64)
         self.pos[node] = np.arange(len(node))
-        # the branch graph from every walker's (a, b, L), less the loops and
-        # all but the shortest of parallel chains (the matrix would keep
-        # them all), plus a source row k for sweeps from a chain node: no
-        # edge leads into k, and `distances` points its two entries, the
-        # last of the CSR, at the chain's ends
-        a, b = bid[start], bid[end]
-        edge = a != b
-        lo, hi, w = np.minimum(a, b)[edge], np.maximum(a, b)[edge], length[edge]
-        order = np.lexsort((w, hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        shortest = np.ones(len(lo), dtype=bool)
-        shortest[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        lo, hi, w = lo[shortest], hi[shortest], w[shortest]
-        self.graph = _edge_matrix(k + 1, np.concatenate([lo, hi, [k, k]]),
-                                  np.concatenate([hi, lo, [0, k]]),
-                                  np.concatenate([w, w, [1, 1]]).astype(np.float64))
+        # the branch graph keeps the core's branch rows in order: an entry
+        # to a branch node is an edge of weight 1, and an entry from end r
+        # into a chain an edge of weight L to its other end a + b - r (r
+        # again on a loop).  Row k serves sweeps from a chain node: no edge
+        # leads into k, and `distances` points its two entries, the last of
+        # the CSR, at the chain's ends
+        far, weight = bid.copy(), np.ones(m)
+        far[node], weight[node] = (a + b).take(chain), length.take(chain)
+        rows = np.repeat(bid, deg)
+        entry = np.flatnonzero(rows >= 0)
+        y = indices.take(entry)
+        bounds = np.zeros(k + 2, dtype=np.int64)
+        np.cumsum(deg.take(branch), out=bounds[1:k + 1])
+        bounds[k + 1] = bounds[k] + 2
+        self.graph = _matrix(bounds,
+                             np.concatenate([far.take(y) - rows.take(entry) * inward.take(entry), [0, k]]),
+                             np.concatenate([weight.take(y), [1, 1]]))
 
     def distances(self, s: int) -> np.ndarray:
         """Hop distances from node s to every node, from one `_dijkstra`
         sweep of the branch graph: from branch node s itself, or from row k
-        joined to chain node s's ends a and b by edges of t and L - t."""
-        source, t, rest = self.bid[s], self.t[s], self.rest[s]
+        joined to chain node s's ends a and b by edges of t and L - t (both
+        to a on a loop, where the sweep keeps the shorter)."""
+        m = len(self.bid)
+        source = self.bid[s]
         if source < 0:
-            source = self.k
-            if self.a[s] == self.b[s]:  # a loop: the nearer way round, then k -> k
-                self.graph.indices[-2:] = self.a[s], self.k
-                self.graph.data[-2:] = min(t, rest), 1
-            else:
-                self.graph.indices[-2:] = self.a[s], self.b[s]
-                self.graph.data[-2:] = t, rest
-        # the branch rows are symmetric and no edge leads into k, so the
-        # directed sweep gives the distances without scipy's transpose
-        dist = _dijkstra(self.graph, directed=True, indices=source)
-        d = np.minimum(dist[self.a] + self.t, dist[self.b] + self.rest)
+            source, t, rest = self.k, int(self.offset[s]), int(self.offset[m + s])
+            self.graph.indices[-2:] = self.ends[s], self.ends[m + s]
+            self.graph.data[-2:] = t, rest
+        # the branch rows hold both directions of every edge and no edge
+        # leads into k, so the directed sweep gives the distances without
+        # scipy's transpose
+        both = _dijkstra(self.graph, directed=True, indices=source, min_only=True).take(self.ends)
+        both += self.offset
+        d = np.minimum(both[:m], both[m:])
         if source == self.k:
             # along s's own chain, whose inner nodes sit at j - t + 1 .. j + L - t - 1
             j = self.pos[s]
             own = self.node[j - t + 1:j + rest]
-            d[own] = np.minimum(d[own], np.abs(self.t[own] - t))
+            d[own] = np.minimum(d.take(own), np.abs(self.node_t[j - t + 1:j + rest] - t))
         return d
+
+
+def _cycle_diameter(h: np.ndarray) -> int:
+    """max over nodes u != w of h[u] + d(u, w) + h[w] on a cycle of
+    L = len(h) >= 3 nodes listed in cycle order, with a fixed number of
+    array operations.
+
+    Every pair lies at forward offset 1..W = L // 2 from one of its nodes,
+    and that offset is its distance.  With g[j] = h[j mod L] + j, node i's
+    best partner gives h[i] - i + max(g[i+1 .. i+W]): one sliding-window
+    maximum of width W over g, read off prefix and suffix maxima within
+    blocks of W (van Herk; Gil & Werman).
+    """
+    size = len(h)
+    w = size // 2
+    blocks = -(-(size + w) // w)
+    g = np.full(blocks * w, -np.inf)
+    g[:size + w] = np.concatenate([h, h[:w]]) + np.arange(size + w)
+    g = g.reshape(blocks, w)
+    prefix = np.maximum.accumulate(g, axis=1).ravel()
+    suffix = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1].ravel()
+    i = np.arange(size)
+    return int((h - i + np.maximum(suffix.take(i + 1), prefix.take(i + w))).max())
 
 
 def component_diameter(gp, component) -> int:
@@ -745,14 +812,16 @@ def component_diameter(gp, component) -> int:
     hanging at v; a tree component is answered by the peel alone.  On the
     core, with E(u) = max_w d(u, w) + h(w) over core nodes w (u included),
     the diameter is the larger of the longest path inside the trees and
-    max_{u != w} h(u) + d(u, w) + h(w).  A sweep from s gives that
-    maximum for u = s exactly, and by the triangle inequality the bounds
-    max(E(s) - d, d + h(s)) <= E(u) <= E(s) + d with d = d(s, u).  A node u
-    is dropped once h(u) + E_hi(u) <= diam, since no path through it can be
-    longer.  Sources start at the highest-degree core node and then
-    alternate between the smallest E_lo (a central node, which tightens
-    every upper bound) and the largest h + E_hi (which can raise diam),
-    after Takes & Kosters' BoundingDiameters (Algorithms 4, 2011).
+    max_{u != w} h(u) + d(u, w) + h(w).  A core that is one bare cycle is
+    answered by `_cycle_diameter` with no sweep.
+    Otherwise a sweep from s gives that maximum for u = s exactly, and by
+    the triangle inequality the bounds max(E(s) - d, d + h(s)) <= E(u) <=
+    E(s) + d with d = d(s, u).  A node u is dropped once h(u) + E_hi(u) <=
+    diam, since no path through it can be longer.  Sources start at the
+    highest-degree core node and then alternate between the smallest E_lo
+    (a central node, which tightens every upper bound) and the largest
+    h + E_hi (which can raise diam), after Takes & Kosters'
+    BoundingDiameters (Algorithms 4, 2011).
 
     Each sweep runs on the core with its degree-2 chains contracted
     (`_ChainCore`): one weighted `_dijkstra` call over the branch nodes,
@@ -760,15 +829,15 @@ def component_diameter(gp, component) -> int:
     The distances equal the BFS hop distances exactly, so the bounds, the
     pruning and the sources are those of a BFS sweep on the core.
 
-    Measured on supercritical swg giants (p = 0.55, n = 2^13 and 2^14,
-    5-10k nodes) it takes about 22 sweeps per giant, where a bounding
-    search on the whole unpeeled component needs about 106.  On an n = 2^14
-    giant's core of 3220 nodes, 605 of them branch nodes, a sweep takes
-    0.08 ms, against 0.33 ms for a BFS sweep of the core (2-core Xeon VM).
-    Cores whose eccentricities are all alike defeat the bounds: a bare ring
-    still takes one sweep per node, each on a 1-node branch graph; on
-    `sample_swg_erdos(10000, 0.0)` at p = 1 the 10000 sweeps take 2.0 s,
-    against 2.5 s for BFS sweeps.
+    Measured on the 60 supercritical giants of a `scaling` pass (swg,
+    p = 0.55, n = 2^13 and 2^14, 5-10k nodes), it takes 1365 sweeps, about
+    23 per giant, where a bounding search on the whole unpeeled component
+    needs about 106.  A giant costs about 2.3 ms before its first sweep
+    (0.27 ms of it the connectivity search) and about 0.15 ms a sweep,
+    three quarters of which is scipy's `dijkstra` (2-core Xeon VM, timings
+    vary by about a third from run to run).  On
+    `sample_swg_erdos(10000, 0.0)` at p = 1, a bare ring, a call takes
+    about 4 ms and no sweep.
     """
     nodes = np.sort(np.fromiter(component, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= gp.n):
@@ -779,8 +848,7 @@ def component_diameter(gp, component) -> int:
     if m == 1:
         return 0
     from scipy.sparse.csgraph import breadth_first_order
-    u, v = _induced_edges(nodes, _indicator(nodes, gp.n), *gp.active_edge_arrays())
-    adj = _csr(m, u, v)
+    adj = _component_csr(gp, nodes)
     # both directions of every edge are stored, so a directed search from
     # node 0 reaches its whole component
     if not m or len(breadth_first_order(_matrix(adj.indptr, adj.indices), 0,
@@ -789,32 +857,36 @@ def component_diameter(gp, component) -> int:
     core, h, diam = _peel_pendant_trees(adj)
     if len(core) <= 1:
         return diam
-    sub = _csr(len(core), *_induced_edges(core, _indicator(core, m), u, v))
+    sub = _core_csr(adj, core)
     chains = _ChainCore(sub)
-    h = h[core].astype(np.float64)
+    h = h.take(core).astype(np.float64)
+    if sub.indptr[-1] == 2 * len(core):
+        # one bare cycle: stand-in node 0, then its loop's nodes in order
+        return max(diam, _cycle_diameter(h.take(np.append(0, chains.node))))
+    # E_lo and h + E_hi of the nodes still `alive` (in increasing order, so
+    # ties go to the smallest node); a swept node's h + E_hi is -inf
+    alive = np.arange(len(core))
     e_lo = h.copy()
-    e_hi = np.full(len(core), np.inf)
-    alive = np.ones(len(core), dtype=bool)
+    bound = np.full(len(core), np.inf)
     s = int(np.argmax(np.diff(sub.indptr)))
     pick_high = False
     while True:
         d = chains.distances(s)
         reach = d + h
+        hs = h[s]
         reach[s] = -np.inf
         far = reach.max()
-        diam = max(diam, int(h[s] + far))
-        ecc = max(far, h[s])
-        np.maximum(e_lo, np.maximum(ecc - d, d + h[s]), out=e_lo)
-        np.minimum(e_hi, ecc + d, out=e_hi)
-        alive &= h + e_hi > diam
-        alive[s] = False
-        idx = np.flatnonzero(alive)
-        if not len(idx):
+        diam = max(diam, int(hs + far))
+        ecc = max(far, hs)
+        d = d.take(alive)
+        np.maximum(e_lo, ecc - d, out=e_lo)
+        np.maximum(e_lo, d + hs, out=e_lo)
+        np.minimum(bound, reach.take(alive) + ecc, out=bound)
+        live = bound > diam
+        alive, e_lo, bound = alive.compress(live), e_lo.compress(live), bound.compress(live)
+        if not len(alive):
             return diam
-        if pick_high:
-            s = int(idx[np.argmax(h[idx] + e_hi[idx])])
-        else:
-            s = int(idx[np.argmin(e_lo[idx])])
+        s = int(alive[bound.argmax() if pick_high else e_lo.argmin()])
         pick_high = not pick_high
 
 

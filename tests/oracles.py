@@ -7,8 +7,9 @@ set-based epidemic simulator, the per-trial percolation reachability law,
 the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness
 predicates of the visits, the per-arc compound offspring sampler, the
 masked survival loop, the compound-law population that dominates a
-visit's queue, the fresh-sample threshold probe and bisection, and the
-level-by-level labelling of a coupled threshold trial.
+visit's queue, the fresh-sample threshold probe and bisection, the
+level-by-level labelling of a coupled threshold trial, and the pendant
+trees of a peel found by searches from their roots.
 """
 
 from collections import Counter
@@ -176,6 +177,76 @@ def bfs_layers(gp, I0):
         size += f
         left -= 1
     return layers
+
+
+def _bfs(nbrs, sources, allowed=lambda y: True):
+    """(order, dist, parent) of a FIFO search from `sources` that enters
+    only nodes for which `allowed` holds."""
+    order, dist, parent = list(sources), dict.fromkeys(sources, 0), dict.fromkeys(sources)
+    for w in order:
+        for y in nbrs[w]:
+            if y not in dist and allowed(y):
+                dist[y], parent[y] = dist[w] + 1, w
+                order.append(y)
+    return order, dist, parent
+
+
+def pendant_trees(nbrs):
+    """Reference for `graphs._peel_pendant_trees` on a connected simple
+    graph given as per-node neighbour lists: (core, h, tree_diam).
+
+    The 2-core comes from removing leaves one at a time.  Every other node
+    hangs in a tree at a root: a core node or, when the graph is a tree,
+    its centre (the middle one or two nodes of a longest path, found by a
+    double sweep).  A search from the roots orients the trees, and h[v] is
+    the height of the subtree below v, except that a centre's h is its
+    eccentricity in the whole tree.  tree_diam is the largest diameter of
+    a root's tree, each found by a double sweep.  A tree's core is its
+    centre when it has one, and empty when it has two.
+    """
+    m = len(nbrs)
+    deg = [len(a) for a in nbrs]
+    removed = [False] * m
+    stack = [v for v in range(m) if deg[v] == 1]
+    while stack:
+        x = stack.pop()
+        if removed[x] or deg[x] != 1:
+            continue
+        removed[x] = True
+        for y in nbrs[x]:
+            if not removed[y]:
+                deg[y] -= 1
+                if deg[y] == 1:
+                    stack.append(y)
+    if sum(map(len, nbrs)) // 2 == m - 1:
+        a = _bfs(nbrs, [0])[0][-1]
+        order, dist, parent = _bfs(nbrs, [a])
+        path = [order[-1]]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        roots = sorted({path[len(path) // 2], path[(len(path) - 1) // 2]})
+        core = roots if len(roots) == 1 else []
+    else:
+        roots = core = [v for v in range(m) if not removed[v]]
+    order, _, parent = _bfs(nbrs, roots)
+    h = [0] * m
+    for x in reversed(order):
+        if parent[x] is not None:
+            h[parent[x]] = max(h[parent[x]], h[x] + 1)
+    if len(roots) == 2:
+        for c in roots:
+            h[c] = max(_bfs(nbrs, [c])[1].values())
+    root_of = {r: r for r in roots}
+    for x in order:
+        if x not in root_of:
+            root_of[x] = root_of[parent[x]]
+    tree_diam = 0
+    for r in roots:
+        def mine(y, r=r):
+            return root_of[y] == r or len(roots) == 2
+        far = _bfs(nbrs, [r], mine)[0][-1]
+        tree_diam = max(tree_diam, max(_bfs(nbrs, [far], mine)[1].values()))
+    return core, h, tree_diam
 
 
 def reachability_law_per_trial(g, I0, p_local, p_bridge, trials, rng):

@@ -233,6 +233,27 @@ def test_scaling_study_diameter_cap_flag():
     assert rows[0].median_giant_diameter is None
 
 
+def test_scaling_study_measures_one_node_components():
+    # at p = 0 every component is one node, of diameter 0 and under the cap
+    rows = scaling_study(ModelSpec("swg", c=1.0), 0.0, [64, 128], 3, Seed(14))
+    assert [(r.median_max_component, r.median_giant_diameter, r.diameter_skipped)
+            for r in rows] == [(1.0, 0.0, False)] * 2
+
+
+def test_scaling_study_refuses_a_bad_size_before_any_trial(monkeypatch):
+    calls = []
+    real = analysis._scaling_trial
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_scaling_trial", counted)
+    with pytest.raises(ValueError, match="even n"):
+        scaling_study(ModelSpec("matching"), 0.5, [64, 65], 2, Seed(15))
+    assert calls == []
+
+
 def test_zero_trials_are_refused():
     spec = ModelSpec("swg", c=1.0)
     for call in (lambda: fresh_probe_point(spec, 2000, 0.5, 0, Seed(1)),

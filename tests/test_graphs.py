@@ -29,7 +29,8 @@ from percolab.graphs import (
 )
 from percolab.rng import Seed
 
-from .oracles import connected_components_eager, list_adjacency, load_edge_list_lines
+from .oracles import (connected_components_eager, list_adjacency, load_edge_list_lines,
+                      pendant_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +477,16 @@ def _apsp_diameter(g, component):
     return int(dijkstra(full[idx][:, idx], directed=False, unweighted=True).max())
 
 
+def _induced_csr(g, nodes):
+    """Unit-weight scipy CSR of the subgraph of g induced by `nodes`, in
+    sorted order, parallel edges merged."""
+    u, v = g.active_edge_arrays() if isinstance(g, PercolationGraph) else (g.edge_u, g.edge_v)
+    full = csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(g.n, g.n))
+    full.data[:] = 1.0  # building from COO sums parallel edges
+    idx = np.array(sorted(nodes))
+    return full[idx][:, idx]
+
+
 def _top_components(gp, k=3):
     return [c for c in connected_components(gp)[:k] if len(c) >= 2]
 
@@ -586,6 +597,42 @@ def test_diameter_rejects_disconnected_input():
             component_diameter(ring, nodes)
 
 
+def test_diameter_refuses_every_node_set_that_is_not_connected():
+    # each way a node set can fall apart must be refused, and every
+    # connected one measured
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    cases = [
+        (_edge_graph(_path(0, 1, 2, 0) + _path(3, 4, 5, 6, 3)), None),     # two cycles
+        (_edge_graph(_path(0, 1, 2, 0) + [(3, 4)]), None),                 # cycle and edge
+        (_edge_graph(_path(0, 1, 2, 0) + [(3, 4), (3, 5)]), None),         # cycle and star
+        (_edge_graph(k4 + [(a + 4, b + 4) for a, b in k4]), None),         # two K4s
+        (_edge_graph(k4 + _path(4, 5, 6, 4)), None),                       # K4 and cycle
+        (_edge_graph(k4 + _path(0, 4, 5, 6, 0) + [(7, 8)]), None),
+        (_edge_graph(_path(0, 1, 2, 0) + [(2, 3)] + [(4, 5), (5, 6), (4, 6)]), None),
+    ]
+    cases = [(g, range(g.n)) for g, _ in cases]
+    rng = Seed(21).generator()
+    for trial in range(90):
+        n = 300
+        g = (sample_swg_erdos(n, 1.0, rng), sample_swg_matching(n, rng),
+             sample_regular(n, 3, rng))[trial % 3]
+        gp = percolate(g, float(rng.uniform(0.4, 0.9)), float(rng.uniform(0.4, 0.9)), rng)
+        comps = connected_components(gp)
+        first = sorted(comps[0])
+        cases += [(gp, comps[0] | comps[1]), (gp, comps[0] | {int(next(iter(comps[-1])))}),
+                  (gp, set(first) - {first[int(rng.integers(len(first)))]}),
+                  (gp, set(rng.choice(first, size=max(2, len(first) // 2), replace=False).tolist()))]
+    refused = 0
+    for g, nodes in cases:
+        if scipy_components(_induced_csr(g, nodes), directed=False)[0] == 1:
+            assert component_diameter(g, nodes) == _apsp_diameter(g, nodes)
+        else:
+            with pytest.raises(ValueError, match="not connected"):
+                component_diameter(g, nodes)
+            refused += 1
+    assert refused >= 200
+
+
 def test_diameter_singleton_is_zero():
     rng = Seed(14).generator()
     g = sample_swg_erdos(50, 1.0, rng)
@@ -628,10 +675,10 @@ def test_diameter_on_contracted_chains(case):
     assert component_diameter(g, range(g.n)) == _apsp_diameter(g, range(g.n)) == want
 
 
-def _core_cases():
-    """Peeled cores of the hand-built chain cases and of the largest
-    components of percolated swg, matching and 3-regular graphs, each a
-    unit-weight scipy CSR sliced out of the whole graph's."""
+def _giant_cases():
+    """The hand-built chain cases and the largest components of percolated
+    swg, matching and 3-regular graphs, each a unit-weight scipy CSR sliced
+    out of the whole graph's."""
     rng = Seed(19).generator()
     cases = [_edge_graph(edges) for edges, _ in _CHAIN_CASES.values()]
     for _ in range(4):
@@ -639,14 +686,32 @@ def _core_cases():
                   sample_regular(400, 3, rng)):
             cases.append(percolate(g, 0.6, 0.6, rng))
     for gp in cases:
-        u, v = gp.active_edge_arrays()
-        full = csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(gp.n, gp.n))
-        full.data[:] = 1.0  # building from COO sums parallel edges
-        nodes = np.array(sorted(connected_components(gp)[0]))
-        sub = full[nodes][:, nodes]
+        yield _induced_csr(gp, connected_components(gp)[0])
+
+
+def _core_cases():
+    """Peeled cores of the `_giant_cases` graphs."""
+    for sub in _giant_cases():
         core, _, _ = graphs._peel_pendant_trees(sub)
         if len(core) > 1:
             yield sub[core][:, core]
+
+
+def test_peel_matches_searches_from_the_roots():
+    rng = Seed(22).generator()
+    cases = list(_giant_cases())
+    # paths, stars and random recursive trees, centred on a node or an edge
+    for m in [2, 3, 4, 5, 8, 9] + rng.integers(6, 80, 14).tolist():
+        for parent in (np.arange(m - 1), np.zeros(m - 1, dtype=np.int64),
+                       np.array([int(rng.integers(i)) for i in range(1, m)], dtype=np.int64)):
+            cases.append(GenericGraph(m, parent, np.arange(1, m)).adjacency())
+    trees = 0
+    for adj in cases:
+        nbrs = [list(adj.indices[adj.indptr[w]:adj.indptr[w + 1]]) for w in range(len(adj.indptr) - 1)]
+        core, h, tree_diam = graphs._peel_pendant_trees(adj)
+        assert (core.tolist(), h.tolist(), tree_diam) == pendant_trees(nbrs)
+        trees += len(core) <= 1
+    assert trees >= 60
 
 
 def test_contracted_sweeps_give_bfs_distances():
@@ -658,6 +723,32 @@ def test_contracted_sweeps_give_bfs_distances():
             assert chains.distances(s).tolist() == bfs[s].tolist()
         cores += 1
     assert cores >= 15
+
+
+def _ring_with_trees(size, extra, rng):
+    """A cycle on nodes 0..size-1 with `extra` more nodes hung on it in
+    random trees."""
+    return _edge_graph(_path(*range(size), 0) +
+                       [(int(rng.integers(size + i)), size + i) for i in range(extra)])
+
+
+def test_bare_cycle_core_takes_no_sweep(monkeypatch):
+    sweeps = []
+    real = graphs._dijkstra
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_dijkstra", counted)
+    rng = Seed(20).generator()
+    for size in (3, 4, 5, 8, 13, 40):
+        for extra in (0, 1, 2, 6, 30):
+            g = _ring_with_trees(size, extra, rng)
+            assert component_diameter(g, range(g.n)) == _apsp_diameter(g, range(g.n))
+    ring = percolate(sample_swg_erdos(10_000, 0.0, rng), 1.0, 1.0, rng)
+    assert component_diameter(ring, range(10_000)) == 5000
+    assert sweeps == []
 
 
 # (model, seed, p, giant diameter, sweeps) of n = 4000 giants, recorded with
