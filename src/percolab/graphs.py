@@ -804,7 +804,8 @@ def _cycle_diameter(h: np.ndarray) -> int:
 
 def component_diameter(gp, component) -> int:
     """Exact hop-diameter of a connected component, given as distinct nodes
-    of gp; raises ValueError for a node outside [0, n), a repeated node or
+    of gp; raises ValueError for a node that is not an integer (a bool or a
+    float such as 1.5 included), a node outside [0, n), a repeated node or
     nodes that are not connected in gp.
 
     The pendant trees are peeled off first (`_peel_pendant_trees`), leaving
@@ -839,6 +840,14 @@ def component_diameter(gp, component) -> int:
     `sample_swg_erdos(10000, 0.0)` at p = 1, a bare ring, a call takes
     about 4 ms and no sweep.
     """
+    if not isinstance(component, abc.Collection):
+        component = list(component)
+    kinds = ({component.dtype.type} if isinstance(component, np.ndarray)
+             else set(map(type, component)))
+    bad = sorted(t.__name__ for t in kinds
+                 if not issubclass(t, (int, np.integer)) or issubclass(t, bool))
+    if bad:
+        raise ValueError(f"component nodes must be integers, not {', '.join(bad)}")
     nodes = np.sort(np.fromiter(component, dtype=np.int64))
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= gp.n):
         raise ValueError(f"component nodes must lie in [0, {gp.n})")
@@ -907,16 +916,16 @@ def format_rows(template: str, columns: np.ndarray) -> Iterator[str]:
 
 
 def save_edge_list(g, path) -> None:
-    """One line per edge `u v kind` in id order, header
-    `# swg n=<n> model=<tag>`: for a SmallWorldGraph the n ring edges (kind
-    R) in ring order, then the bridges (kind B); for a GenericGraph every
-    edge with kind R.  The lines are formatted and written a block at a
-    time."""
-    uv = np.column_stack(g.ends(np.arange(g.num_edges)))
+    """One line per listed edge `u v kind` in id order: for a SmallWorldGraph
+    the bridges (kind B) under the header `# swg n=<n> model=<tag>
+    ring=implicit`, since n fixes the ring; for a GenericGraph every edge
+    (kind R) under `# swg n=<n> model=generic`.  The lines are formatted and
+    written a block at a time."""
+    uv = np.column_stack(g.listed)
+    kind, ring = ("B", " ring=implicit") if g.num_ring else ("R", "")
     with open(path, "w") as fh:
-        fh.write(f"# swg n={g.n} model={g.model_tag}\n")
-        fh.writelines(format_rows("%d %d R\n", uv[:g.num_local]))
-        fh.writelines(format_rows("%d %d B\n", uv[g.num_local:]))
+        fh.write(f"# swg n={g.n} model={g.model_tag}{ring}\n")
+        fh.writelines(format_rows(f"%d %d {kind}\n", uv))
 
 
 _SPACE = b" \t\n\v\f"
@@ -1014,8 +1023,10 @@ def load_edge_list(path):
     [0, 2**31], a line other than `u v kind` with integers u, v, an edge
     kind other than R or B, a node outside [0, n), an edge not given as
     u < v, a `model=matching` file in which a node has two bridges, a
-    ring-based file whose R lines are not exactly the n ring edges, a bridge
-    given twice, or a `model=generic` edge given twice.
+    ring-based file whose R lines are not exactly the n ring edges, an R
+    line under `ring=implicit`, a `ring=` other than `implicit` or in a
+    `model=generic` file, a bridge given twice, or a `model=generic` edge
+    given twice.
     The file is parsed a block at a time, keeping only a ring-based file's B
     lines; of line faults in several blocks, the first block's is reported."""
     with open(path, "rb") as fh:
@@ -1035,13 +1046,18 @@ def load_edge_list(path):
         n = int(fields["n"])
         if not 0 <= n <= _MAX_NODES:
             raise ValueError(f"n must lie in [0, {_MAX_NODES}]")
-        tag = fields["model"]
+        tag, implicit = fields["model"], "ring" in fields
+        if implicit and (fields["ring"] != "implicit" or tag == "generic"):
+            raise ValueError(f"header field ring={fields['ring']}: "
+                             "only ring=implicit, in a ring-based file")
         us, vs = [], []
         # ring edge {i, i+1 mod n} is the line `i i+1 R` (`0 n-1 R` for i = n-1)
         ring_lines, ring_seen = 0, None
         for body in chain([body], blocks):
             u, v, bridge = _parse_edge_lines(body)
             if tag != "generic" and not bridge.all():
+                if implicit:
+                    raise ValueError("a ring=implicit file lists no R lines")
                 ru, rv, u, v = u[~bridge], v[~bridge], u[bridge], v[bridge]
                 wrap = (ru == 0) & (rv == n - 1)
                 ring = wrap | ((ru >= 0) & (rv == ru + 1) & (rv < n))
@@ -1050,19 +1066,24 @@ def load_edge_list(path):
                 ring_seen[np.where(wrap, n - 1, ru)[ring]] = True
             us.append(u)
             vs.append(v)
-    # np.lexsort((v, u)) for 0 <= u, v < n as one stable sort, linear time on
+    # np.lexsort((v, u)) for 0 <= u, v < n as one stable sort, skipped on
     # sorted lines; out-of-range edges are refused after it, in any order
     u, v = np.concatenate(us), np.concatenate(vs)
-    order = np.argsort(u * n + v, kind="stable")
+    del us, vs
+    keys = u * n + v
+    if np.any(keys[1:] < keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        u, v = u[order], v[order]
+    del keys
     if tag == "generic":
-        g = GenericGraph(n, u[order], v[order])
+        g = GenericGraph(n, u, v)
         _refuse_repeats(g.edge_u, g.edge_v, "an edge")
         return g
-    g = SmallWorldGraph(n, u[order], v[order], tag)
+    g = SmallWorldGraph(n, u, v, tag)
     if tag == "matching" and np.bincount(np.concatenate([u, v])).max(initial=0) > 1:
         raise ValueError("model=matching but a node has two bridges")
     # n R lines mark all n ring edges only if each is one, there once
-    if ring_lines != n or not ring_seen.all():
+    if not implicit and (ring_lines != n or not ring_seen.all()):
         raise ValueError(f"the R lines must be exactly the {n} ring edges")
     _refuse_repeats(g.bridge_u, g.bridge_v, "a bridge")
     return g

@@ -41,7 +41,9 @@ def local_cluster(gp: PercolationGraph, v: int) -> set:
 
 def truncated_local_cluster(gp: PercolationGraph, v: int, L: int) -> set:
     """Nodes reachable from v using at most L retained ring edges per
-    direction; at most 2L+1 nodes."""
+    direction; at most 2L+1 nodes.  v is read mod n, so v = -1 is node
+    n - 1; the visit engines call this once per candidate, so it checks
+    nothing."""
     n = gp.n
     ring = gp.ring_active
     out = {v % n}
@@ -109,7 +111,12 @@ def mean_truncated_size_mc(n: int, p: float, L: int, trials: int,
     reaches r, r-1, ..., 1 (each capped at L), so it adds
     S(r) = sum_{j<=r} min(j, L) to the right sum; the left reaches over the
     same run are 1, ..., r, so the left sum is the same total.
+    Raises ValueError for p outside [0, 1] (nan included) or trials < 1.
     """
+    if not 0 <= p <= 1:  # also refuses nan
+        raise ValueError("need 0 <= p <= 1")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     total = 0.0
     for _ in range(trials):
         mask = rng.random(n) < p

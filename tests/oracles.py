@@ -5,11 +5,11 @@ that the array-based code in `percolab` replaced: a line-by-line edge-file
 parser, list-of-lists adjacency, the eager list of component sets, the
 set-based epidemic simulator, the per-trial percolation reachability law,
 the per-node neighbour BFS of `plain_bfs`, the all-pairs freeness
-predicates of the visits, the per-arc compound offspring sampler, the
-masked survival loop, the compound-law population that dominates a
-visit's queue, the fresh-sample threshold probe and bisection, the
-level-by-level labelling of a coupled threshold trial, and the pendant
-trees of a peel found by searches from their roots.
+predicates of the visits over their own ring distance, the per-arc
+compound offspring sampler, the masked survival loop, the compound-law
+population that dominates a visit's queue, the fresh-sample threshold
+probe and bisection, the level-by-level labelling of a coupled threshold
+trial, and the pendant trees of a peel found by searches from their roots.
 """
 
 from collections import Counter
@@ -23,7 +23,6 @@ from percolab.branching import CompoundZeta
 from percolab.epidemic import EpidemicTrace
 from percolab.graphs import (GenericGraph, SmallWorldGraph, _retain, bfs_order,
                              component_labels, percolate)
-from percolab.local_clusters import ring_distance
 from percolab.visits import QUEUE_EMPTY, VisitTrace
 
 
@@ -296,6 +295,11 @@ def plain_bfs_neighbor(gp, s):
         reached += f
         rounds.append((reached - i, i + 1, 0))
     return VisitTrace(rounds, set(), set(order), set(), QUEUE_EMPTY)
+
+
+def ring_distance(n, i, j):
+    """Hop distance between i and j on the n-cycle: the shorter way round."""
+    return min((i - j) % n, (j - i) % n)
 
 
 def is_free(n, x, X, L):

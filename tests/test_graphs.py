@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,6 +598,19 @@ def test_diameter_rejects_disconnected_input():
             component_diameter(ring, nodes)
 
 
+def test_diameter_refuses_nodes_that_are_not_integers():
+    # np.fromiter would read 1.5 as 1 and True as 1, and measure an edge
+    ring = percolate(sample_swg_erdos(10, 0.0, Seed(14).generator()), 1.0, 1.0,
+                     Seed(14).generator())
+    for nodes, kind in [([0, 1.5], "float"), ([True, False], "bool"), ([0, True], "bool"),
+                        ({0, 1.0}, "float"), (np.array([0.0, 1.0]), "float64"),
+                        (np.array([True, False]), "bool"), ((x / 2 for x in (0, 2)), "float")]:
+        with pytest.raises(ValueError, match=f"must be integers, not {kind}"):
+            component_diameter(ring, nodes)
+    for nodes in ([np.int32(0), 1, 2], np.arange(3, dtype=np.uint8), (x for x in (0, 1, 2))):
+        assert component_diameter(ring, nodes) == 2
+
+
 def test_diameter_refuses_every_node_set_that_is_not_connected():
     # each way a node set can fall apart must be refused, and every
     # connected one measured
@@ -894,6 +908,52 @@ def test_edge_list_round_trip_generic(tmp_path):
     assert np.array_equal(g2.edge_v, g.edge_v)
 
 
+def _old_form(g):
+    """A ring-based graph's edge file as written before `ring=implicit`: a
+    header without the key, the n ring edges as R lines, then the bridges."""
+    lines = "".join(f"{u} {v} {kind}\n" for u, v, kind in g.edges())
+    return f"# swg n={g.n} model={g.model_tag}\n" + lines
+
+
+def test_old_and_new_form_files_load_to_the_same_arrays(tmp_path):
+    rng = Seed(23).generator()
+    for g in (sample_swg_erdos(300, 1.5, rng), sample_swg_matching(300, rng),
+              sample_swg_erdos(300, 0.0, rng)):
+        new, old = tmp_path / "new.edges", _write_edges(tmp_path, _old_form(g))
+        save_edge_list(g, new)
+        text = new.read_text()
+        assert text.startswith(f"# swg n=300 model={g.model_tag} ring=implicit\n")
+        assert text.count("\n") == 1 + g.num_bridges and " R\n" not in text
+        _same_graph(load_edge_list(new), load_edge_list(old))
+        _same_graph(load_edge_list(new), g)
+
+
+def test_ring8_fixture_lists_its_ring_and_still_loads():
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "ring8.edges"
+    assert "ring=" not in path.read_text().splitlines()[0]
+    g = load_edge_list(path)
+    assert g.n == 8 and g.model_tag == "erdos:c=1"
+    assert g.bridge_u.tolist() == [0, 2] and g.bridge_v.tolist() == [4, 6]
+
+
+def test_edge_list_refuses_ring_lines_and_bad_ring_keys(tmp_path):
+    bad = {
+        "lists no R lines": ["# swg n=5 model=erdos:c=1 ring=implicit\n" + _RING5,
+                             "# swg n=5 model=erdos:c=1 ring=implicit\n0 2 B\n1 2 R\n",
+                             "# swg n=6 model=matching ring=implicit\n0 1 R\n"],
+        "ring=explicit: only ring=implicit": ["# swg n=5 model=erdos:c=1 ring=explicit\n" + _RING5],
+        "ring=: only": ["# swg n=5 model=erdos:c=1 ring=\n0 2 B\n"],
+        "ring=implicit: only ring=implicit, in a ring-based": [
+            "# swg n=3 model=generic ring=implicit\n0 1 R\n"],
+    }
+    for message, texts in bad.items():
+        for text in texts:
+            with pytest.raises(ValueError, match=message):
+                load_edge_list(_write_edges(tmp_path, text))
+    g = load_edge_list(_write_edges(tmp_path, "# swg ring=implicit n=6 model=matching\n\n"))
+    assert g.n == 6 and g.num_bridges == 0
+
+
 # the ring-edge lines of a 5-node ring-based edge file
 _RING5 = "".join(f"{min(i, (i + 1) % 5)} {max(i, (i + 1) % 5)} R\n" for i in range(5))
 
@@ -999,7 +1059,9 @@ _FIELDS = _NUMBERS + ["12", "1.5", "0x1", "-", "1_0", "99999999999999999999",
 _SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0c", "\x1c", "\xa0"]
 _HEADERS = ["# swg n=5 model=erdos:c=1", "# swg n=6 model=matching", "# swg n=5 model=generic",
             "# swg n=3 model=generic", "# swg model=generic", "# swg n=5", "# swg n=x model=generic",
-            "# swg n=5 model", "swg n=5 model=generic", "", "# swg  n=4   model=generic  "]
+            "# swg n=5 model", "swg n=5 model=generic", "", "# swg  n=4   model=generic  ",
+            "# swg n=5 model=erdos:c=1 ring=implicit", "# swg n=6 model=matching ring=implicit",
+            "# swg n=5 model=erdos:c=1 ring=explicit", "# swg n=5 model=generic ring=implicit"]
 
 
 @st.composite
@@ -1101,6 +1163,38 @@ def test_loader_gives_the_same_outcome_at_every_block_size(tmp_path, monkeypatch
     assert refused == len(_BLOCK_CASES) - 5
 
 
+_IMPLICIT5 = b"# swg n=5 model=erdos:c=1 ring=implicit\n"
+
+# the same for files without ring lines: refusals first, then files that load
+_IMPLICIT_BLOCK_CASES = [
+    *(_IMPLICIT5 + lines for lines in (
+        b"0 2 B\n0 1 R\n", b"0 2 B\n1 3 B\n2 4 B\n1 4 B\n3 4 R\n",  # R lines
+        b"0 2 B\n1 3 B\n0 2 B\n", b"2 9 B\n", b"0 2 X\n", b"0 2\nB\n")),
+    b"# swg n=5 model=erdos:c=1 ring=x\n0 2 B\n",
+    b"# swg n=3 model=generic ring=implicit\n0 1 R\n",
+    b"# swg n=6 model=matching ring=implicit\n0 2 B\n0 3 B\n",
+    # these load: comments, blank lines, CR LF, unsorted lines, no lines
+    _IMPLICIT5 + b"# comment\n\n2 4 B\r\n1 3 B\r\n  0\t1 B \n",
+    _IMPLICIT5.replace(b"\n", b"\r") + b"1 3 B\r0 2 B",
+    _IMPLICIT5,
+]
+
+
+def test_loader_gives_the_same_outcome_at_every_block_size_without_ring_lines(
+        tmp_path, monkeypatch):
+    path = tmp_path / "g.edges"
+    refused = 0
+    for data in _IMPLICIT_BLOCK_CASES:
+        path.write_bytes(data)
+        want = _outcome(path)
+        refused += isinstance(want[1], str)
+        for block in (1, 2, 3, 7, 16):
+            monkeypatch.setattr(graphs, "_READ_BLOCK", block)
+            assert _outcome(path) == want, (data, block)
+        monkeypatch.undo()
+    assert refused == len(_IMPLICIT_BLOCK_CASES) - 3
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(g=_graphs(), block=st.integers(1, 64))
@@ -1122,7 +1216,7 @@ def test_writers_give_the_same_bytes_at_every_block_edge(tmp_path, monkeypatch, 
     monkeypatch.setattr(graphs, "_WRITE_ROWS", c)
     assert "".join(graphs.format_rows("%d,%d,R\n", edges)) == want
     assert len(list(graphs.format_rows("%d,%d,R\n", edges))) == -(-k // c)
-    n = max(k, 3)  # ring rows: the n = k ring lines cross block edges too
+    n = max(k, 3)  # a ring needs n >= 3
     for g in (SmallWorldGraph(n + 2, edges[:, 0], edges[:, 1], "erdos:c=1"),
               SmallWorldGraph(n, edges[:0, 0], edges[:0, 1], "erdos:c=1"),
               GenericGraph(k + 2, edges[:, 0], edges[:, 1])):

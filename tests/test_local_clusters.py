@@ -138,6 +138,16 @@ def test_mean_truncated_size_mc_matches_formula():
         assert mc == pytest.approx(expected_truncated_size(p, L), rel=0.02)
 
 
+def test_mean_truncated_size_mc_refuses_bad_arguments():
+    # p = 1.5 used to give 5.0, and trials = 0 a ZeroDivisionError
+    for p in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="0 <= p <= 1"):
+            mean_truncated_size_mc(100, p, 4, 10, Seed(1).generator())
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            mean_truncated_size_mc(100, 0.5, 4, trials, Seed(1).generator())
+
+
 def test_ring_occupancy():
     occ = RingOccupancy(20, [3, 17])
     assert occ.min_distance(3) == 0
