@@ -26,6 +26,7 @@ from .graphs import (
     _check_probabilities,
     _cut,
     _edge_matrix,
+    _row_entries,
     bfs_order,
     component_labels,
     percolate_coupled,
@@ -229,11 +230,8 @@ def _run_block(table: tuple, I0: list, cfg: EpidemicConfig, block: int,
     while (len(infectious) or len(exposed)) and t < max_steps:
         t += 1
         node = infectious % n
-        starts = indptr[node]
-        sizes = indptr[node + 1] - starts
+        entry, sizes = _row_entries(indptr, node)
         offset = np.repeat(infectious - node, sizes)
-        # each row's entries are its start plus their rank in it
-        entry = np.arange(len(offset)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         target = offset + targets[entry]
         live = susceptible[target] != 0
         entry, offset, target = entry[live], offset[live], target[live]

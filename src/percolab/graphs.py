@@ -64,6 +64,14 @@ class Adjacency:
         return tuple(self._indices[indptr[w]:indptr[w + 1]])
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple:
+    """Positions in a CSR's `indices` of the entries of `rows`, row by row
+    (each is its row's start plus its rank in the row), and the row sizes."""
+    starts = indptr.take(rows)
+    sizes = indptr.take(rows + 1) - starts
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes), sizes
+
+
 def _csr(n: int, u: np.ndarray, v: np.ndarray, simple: bool = False) -> Adjacency:
     """Adjacency of the undirected edges (u[k], v[k]) on nodes 0..n-1, each
     node's neighbours sorted (a multi-edge lists its neighbour twice, or
@@ -197,7 +205,8 @@ class PercolationGraph:
     graphs it is treated as immutable and compares by identity.  `uniforms`
     holds the per-edge retention uniforms the mask was cut from (see
     `percolate_coupled`), so that the draw can be cut again at other
-    probabilities; it is None for a graph built from a mask alone.
+    probabilities; it is None for a graph built from a mask alone.  A mask
+    other than a 1-D bool array with one entry per edge id raises ValueError.
     """
 
     base: object
@@ -206,6 +215,12 @@ class PercolationGraph:
     p_bridge: float
     uniforms: Optional[np.ndarray] = field(default=None, repr=False)
     _adj: Optional[Adjacency] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        mask, m = self.retained, self.base.num_edges
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (m,)):
+            raise ValueError(f"retained must be a 1-D bool array of length {m}, not a "
+                             f"{type(mask).__name__} of {np.asarray(mask).dtype} {np.shape(mask)}")
 
     @property
     def n(self) -> int:

@@ -2,24 +2,16 @@
 
 The local cluster of v is the contiguous arc reachable from v over retained
 ring edges; the L-truncated variant follows at most L retained ring edges in
-each direction.  The visits ask a `RingOccupancy` whether a candidate node
-is far enough along the ring from everything already touched for its
-truncated cluster to be guaranteed collision-free.
+each direction.  The visits keep every touched node in a `RingOccupancy`, a
+byte mask of the ring, and ask it whether a candidate lies at least L + 1
+steps from all of them, so that its truncated cluster cannot collide.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-
 import numpy as np
 
 from .graphs import PercolationGraph
-
-
-def ring_distance(n: int, i: int, j: int) -> int:
-    """Hop distance between i and j on the n-cycle: min(|i-j|, n-|i-j|)."""
-    d = abs(i - j) % n
-    return min(d, n - d)
 
 
 def expected_truncated_size(p: float, L: int) -> float:
@@ -62,40 +54,38 @@ def truncated_local_cluster(gp: PercolationGraph, v: int, L: int) -> set:
 
 
 class RingOccupancy:
-    """Sorted set of ring positions supporting nearest-distance queries.
+    """The touched ring positions, as a `bytearray(n)` mask that `add` and
+    `add_all` mark with nodes in [0, n).  `min_distance` is exact up to the
+    visit's truncation L and answers L + 1 beyond."""
 
-    Visits issue many freeness queries against a growing set of touched
-    nodes; bisection over the sorted positions answers each in O(log n).
-    """
-
-    def __init__(self, n: int, positions=()):
+    def __init__(self, n: int, positions=(), *, L: int):
         self.n = n
-        self.pos = sorted(set(int(p) % n for p in positions))
+        self.mask = bytearray(n)
+        self.add_all(np.fromiter(positions, dtype=np.int64) % n)
+        # an empty mask answers min(n, L + 1): "not free" on a ring of n <= L nodes
+        self.reach, self.far = min(L, n // 2), min(n, L + 1)
 
     def add(self, x: int) -> None:
-        x = int(x) % self.n
-        i = bisect_left(self.pos, x)
-        if i == len(self.pos) or self.pos[i] != x:
-            insort(self.pos, x)
+        self.mask[x] = 1
+
+    def add_all(self, nodes: np.ndarray) -> None:
+        np.frombuffer(self.mask, dtype=np.uint8)[nodes] = 1
 
     def min_distance(self, x: int) -> int:
-        """Ring distance from x to the nearest occupied position
-        (n if empty)."""
-        pos = self.pos
-        if not pos:
-            return self.n
-        x = int(x) % self.n
-        i = bisect_left(pos, x)
-        left = pos[i - 1] if i > 0 else pos[-1]
-        right = pos[i] if i < len(pos) else pos[0]
-        return min(ring_distance(self.n, x, left), ring_distance(self.n, x, right))
-
-    def __contains__(self, x: int) -> bool:
-        i = bisect_left(self.pos, int(x) % self.n)
-        return i < len(self.pos) and self.pos[i] == int(x) % self.n
-
-    def __len__(self) -> int:
-        return len(self.pos)
+        """Ring distance from x to the nearest occupied node, by one `find`
+        and one `rfind` over the window x - reach .. x + reach, capped at
+        min(n, L + 1), which is also the answer on an empty mask."""
+        mask, n, r = self.mask, self.n, self.reach
+        x = int(x) % n
+        # the window x - r .. x + r, split at the seam; x sits at offset r
+        if x < r:
+            w = mask[x - r:] + mask[:x + r + 1]
+        elif x + r >= n:
+            w = mask[x - r:] + mask[:x + r + 1 - n]
+        else:
+            w = mask[x - r:x + r + 1]
+        right, left = w.find(1, r), w.rfind(1, 0, r)
+        return min(right - r if right >= 0 else self.far, r - left if left >= 0 else self.far)
 
 
 # ---------------------------------------------------------------------------

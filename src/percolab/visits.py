@@ -1,15 +1,15 @@
 """Exploration algorithms over the percolation graph.
 
 All visits maintain three disjoint node sets: the queue Q, the visited set R,
-and the deleted set D.  The L-truncated visits only expand through retained
-bridges whose endpoint is "free" (far enough along the ring from everything
-already touched), which keeps the enqueued local clusters disjoint.
+and the deleted set D.  The L-truncated visits expand only through retained
+bridges whose endpoint is "free", at least L + 1 ring steps from every node
+touched so far (a ring byte mask, `RingOccupancy`, answers the test).
 
-Each L-visit is an engine whose `step` runs one round; one stop loop,
-`_Engine.run`, drives every engine and records a per-round trace of
-(|Q|, |R|, |D|) for statistical checks.  Plain BFS runs on scipy's
-`breadth_first_order` over a CSR of the retained edges (neighbour flavour)
-or on the package's FIFO kernel, `graphs.bfs_order` (cluster flavour).
+Each L-visit is an engine whose `step` runs one round: one node for the
+sequential engines, whose FIFO order decides the occupancy, and a whole
+hop level in array operations for the parallel one.  `_Engine.run` drives
+them all and records a per-round trace of (|Q|, |R|, |D|).  Plain BFS runs
+on scipy's `breadth_first_order` (neighbour flavour) or `graphs.bfs_order`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import PercolationGraph, SmallWorldGraph, _csr, _matrix, bfs_order
+from .graphs import PercolationGraph, SmallWorldGraph, _csr, _matrix, _row_entries, bfs_order
 from .local_clusters import RingOccupancy, local_cluster, truncated_local_cluster
 
 # termination reasons
@@ -84,6 +84,8 @@ class VisitTrace:
 
 
 def _check_node(n: int, v: int) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"node {v!r} is a {type(v).__name__}, not an integer")
     if not 0 <= v < n:
         raise ValueError(f"node {v} outside [0, {n})")
 
@@ -103,9 +105,9 @@ def _initial_sets(n: int, I0, D0=()) -> tuple:
 
 class _Engine:
     """State shared by the L-visits: the queue set `in_q`, the visited set
-    R, the deleted set D, the ring occupancy of every touched node and the
-    trace rows.  A subclass's `step` runs one round and ends with
-    `_record`; its `cap(n)` is the default round cap of `run`."""
+    R, the deleted set D, the trace rows and `occ`, the ring byte mask of
+    every touched node, built with L.  A subclass's `step` runs one round
+    and ends with `_record`; its `cap(n)` is the default cap of `run`."""
 
     def __init__(self, g: SmallWorldGraph, gp: PercolationGraph, I0, D0, cfg: VisitConfig):
         self.g = g
@@ -115,7 +117,7 @@ class _Engine:
         self.in_q = set(I0)
         self.r: set = set()
         self.d = set(D0)
-        self.occ = RingOccupancy(g.n, list(I0) + list(D0))
+        self.occ = RingOccupancy(g.n, list(I0) + list(D0), L=cfg.L)
         self.rounds: list = []
 
     def _record(self) -> None:
@@ -171,7 +173,7 @@ class _SequentialEngine(_Engine):
         self.q = deque([s])
         self.in_q = {s}
         self.r = set()
-        self.occ = RingOccupancy(self.g.n, [s] + list(self.d))
+        self.occ = RingOccupancy(self.g.n, [s] + list(self.d), L=self.cfg.L)
 
     def step(self) -> None:
         """One iteration of the while loop: dequeue w, move it to R, and
@@ -201,23 +203,16 @@ def sequential_l_visit(g, gp, I0, D0, cfg: VisitConfig,
 # parallel L-visit
 # ---------------------------------------------------------------------------
 
-def _free_subset(n: int, xs: list, occ: RingOccupancy, L: int) -> list:
-    """Members of the sorted candidate list xs that are at ring distance
-    >= L+1 from every occupied node and >= 2L+1 from every other candidate."""
-    m = len(xs)
-    out = []
-    for i, x in enumerate(xs):
-        if m > 1:
-            left = xs[i - 1]
-            right = xs[(i + 1) % m]
-            dl = min((x - left) % n, (left - x) % n)
-            dr = min((x - right) % n, (right - x) % n)
-            if dl < 2 * L + 1 or dr < 2 * L + 1:
-                continue
-        if occ.min_distance(x) < L + 1:
-            continue
-        out.append(x)
-    return out
+def _free_subset(n: int, xs, occ: RingOccupancy, L: int) -> list:
+    """Members of the sorted candidates xs at ring distance >= L+1 from
+    every occupied node and >= 2L+1 from every other candidate; one cyclic
+    difference tests the latter, and only its survivors query `occ`."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if len(xs) > 1:
+        gap = np.diff(xs, append=xs[0] + n)
+        far = np.minimum(gap, n - gap) >= 2 * L + 1
+        xs = xs.compress(far & np.roll(far, 1))
+    return [x for x in xs.tolist() if occ.min_distance(x) >= L + 1]
 
 
 class _ParallelEngine(_Engine):
@@ -226,18 +221,23 @@ class _ParallelEngine(_Engine):
         return 20 * math.ceil(math.log2(max(n, 2)))
 
     def step(self) -> None:
-        """One outer round: collect the retained-bridge neighbors X of Q,
-        expand the truncated cluster of every parallel-free member of X into
-        the next queue, and retire Q into R."""
-        L = self.cfg.L
-        X = sorted({x for w in self.in_q for x in self.adj[w]})
-        new_q: set = set()
-        for x in _free_subset(self.g.n, X, self.occ, L):
-            new_q |= truncated_local_cluster(self.gp, x, L)
+        """One outer round in array operations: gather Q's retained-bridge
+        neighbours X from the CSR, keep X's parallel-free members, read
+        their truncated clusters off the ring in one (F, 2, L) gather (both
+        directions), mark them as the next queue and retire Q into R.  Free
+        members lie >= 2L+1 apart and >= L+1 from every node occupied
+        before the round, so their clusters are new and disjoint."""
+        L, n, adj = self.cfg.L, self.g.n, self.adj
+        entry, _ = _row_entries(adj.indptr, np.fromiter(self.in_q, dtype=np.int64))
+        free = np.array(_free_subset(n, np.unique(adj.indices.take(entry)), self.occ, L), np.int64)
+        # node x+s is reached over edges x .. x+s-1, node x-s over x-1 .. x-s
+        s = np.arange(1, min(L, n - 1) + 1)
+        nodes = (free[:, None, None] + np.stack([s, -s])) % n
+        reach = np.logical_and.accumulate(self.gp.ring_active.take(nodes - [[1], [0]]), axis=2)
+        new = np.append(free, nodes[reach])
+        self.occ.add_all(new)
         self.r |= self.in_q
-        self.in_q = new_q
-        for y in new_q:
-            self.occ.add(y)
+        self.in_q = set(new.tolist())
         self._record()
 
 
@@ -352,9 +352,7 @@ class _MatchingEngine(_SequentialEngine):
         nbrs = self.full_adj[w]
         if nbrs:
             x = nbrs[0]
-            free = self.occ.min_distance(x) >= L + 1
-            retained = x in self.adj[w]
-            if free and retained:
+            if self.occ.min_distance(x) >= L + 1 and x in self.adj[w]:
                 cluster = truncated_local_cluster(self.gp, x, L)
                 for y in sorted(cluster - {x}):
                     self.q.append(y)
@@ -362,13 +360,11 @@ class _MatchingEngine(_SequentialEngine):
                     self.occ.add(y)
                 self.r.add(x)
                 self.occ.add(x)
-            elif free:
-                self.d.add(x)
-                self.occ.add(x)
             elif x in self.in_q:
                 self.in_q.discard(x)
                 self.r.add(x)
             elif x not in self.r and x not in self.d:
+                # Q, R and D are occupied, so a free x with a dead bridge lands here
                 self.d.add(x)
                 self.occ.add(x)
         self._record()

@@ -311,6 +311,19 @@ def test_ring_and_bridge_masks_are_views_of_the_one_retained_mask():
     assert percolate(g, 0.5, 0.5, rng).ring_active is None  # the generic graph
 
 
+def test_percolation_graph_refuses_a_bad_mask():
+    # at the parent a 3-entry mask on a 50-node swg labelled 3 nodes, a long
+    # one raised IndexError and an int64 one "negative dimensions"
+    g = sample_swg_erdos(50, 1.0, Seed(8).generator())
+    m = g.num_edges
+    for mask in (np.ones(3, dtype=bool), np.ones(m + 1, dtype=bool), np.ones(m, dtype=np.int64),
+                 np.ones((1, m), dtype=bool), [True] * m):
+        with pytest.raises(ValueError, match=f"1-D bool array of length {m}, not a"):
+            PercolationGraph(g, mask, 1.0, 1.0)
+    sizes = component_labels(PercolationGraph(g, np.ones(m, dtype=bool), 1.0, 1.0))[1]
+    assert sizes.sum() == 50
+
+
 def test_graphs_compare_and_hash_by_identity():
     # numpy array fields make a field-wise == ambiguous on graphs of more
     # than one edge

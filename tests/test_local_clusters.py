@@ -7,12 +7,11 @@ from percolab.local_clusters import (
     expected_truncated_size,
     local_cluster,
     mean_truncated_size_mc,
-    ring_distance,
     truncated_local_cluster,
 )
 from percolab.rng import Seed
 
-from .oracles import is_free, is_free_parallel
+from .oracles import is_free, is_free_parallel, ring_distance
 
 
 def _ring_graph(n, active_edges):
@@ -149,17 +148,16 @@ def test_mean_truncated_size_mc_refuses_bad_arguments():
 
 
 def test_ring_occupancy():
-    occ = RingOccupancy(20, [3, 17])
+    occ = RingOccupancy(20, [3, 17], L=20)
     assert occ.min_distance(3) == 0
     assert occ.min_distance(0) == 3
     assert occ.min_distance(10) == 7
     occ.add(10)
     assert occ.min_distance(9) == 1
-    assert 10 in occ and 11 not in occ
-    assert len(occ) == 3
+    assert occ.min_distance(10) == 0 and occ.min_distance(11) == 1
     occ.add(10)  # idempotent
-    assert len(occ) == 3
-    assert RingOccupancy(20).min_distance(5) == 20
+    assert occ.mask.count(1) == 3
+    assert RingOccupancy(20, L=20).min_distance(5) == 20
 
 
 def test_is_free():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from percolab.visits import (
     VisitConfig,
     VisitTrace,
     _free_subset,
+    _ParallelEngine,
     parallel_l_visit,
     plain_bfs,
     search_giant_erdos,
@@ -30,7 +33,7 @@ from percolab.visits import (
     union_l_visit,
 )
 
-from .oracles import is_free, is_free_parallel, plain_bfs_neighbor
+from .oracles import is_free, is_free_parallel, list_adjacency, plain_bfs_neighbor, ring_distance
 
 
 def _hand_graph(n, bridges, retained_bridges=None, ring_off=(), tag="erdos:c=1"):
@@ -162,11 +165,115 @@ def test_freeness_matches_the_all_pairs_predicates():
         L = int(rng.integers(1, 6))
         occupied = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)
         X = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False).tolist())
-        occ = RingOccupancy(n, occupied.tolist())
+        occ = RingOccupancy(n, occupied.tolist(), L=n)
         free = _free_subset(n, X, occ, L)
         assert free == [x for x in X if is_free_parallel(n, x, set(X), occupied.tolist(), L)]
         for x in range(n):
             assert (occ.min_distance(x) >= L + 1) == is_free(n, x, occupied.tolist(), L)
+
+
+def test_capped_min_distance_matches_the_exact_distance_up_to_L():
+    # built with L, the answer is the exact distance when it is at most L
+    # and L + 1 beyond; an empty mask answers min(n, L + 1), which keeps
+    # the uncapped answer n's freeness for every n
+    rng = np.random.default_rng(7919)
+    for _ in range(400):
+        n = int(rng.integers(2, 61))
+        L = int(rng.integers(1, 7))
+        occupied = rng.choice(n, size=int(rng.integers(0, min(n, 6) + 1)), replace=False).tolist()
+        capped = RingOccupancy(n, occupied, L=L)
+        exact = RingOccupancy(n, occupied, L=n)
+        for x in range(n):
+            d = min((ring_distance(n, x, y) for y in occupied), default=n)
+            assert exact.min_distance(x) == d
+            assert capped.min_distance(x) == min(d, L + 1)
+
+
+def _cluster_walk(ring, x, L):
+    """Truncated cluster of x, walking the ring one edge at a time each way
+    (edge i joins i and i + 1)."""
+    n = len(ring)
+    out = {x}
+    for step in (1, -1):
+        y = x
+        for _ in range(min(L, n - 1)):
+            if not ring[y if step == 1 else (y - 1) % n]:
+                break
+            y = (y + step) % n
+            out.add(y)
+    return out
+
+
+def _check_parallel_round(g, gp, Q, D, L):
+    """One `_ParallelEngine.step` against the all-pairs freeness predicate
+    and the cluster walk: the next queue, R and the occupancy."""
+    n = g.n
+    bu, bv = g.bridge_u[gp.bridge_active], g.bridge_v[gp.bridge_active]
+    adj = list_adjacency(n, bu, bv)
+    X = {x for w in Q for x in adj[w]}
+    occupied = Q | D
+    want = set()
+    for x in X:
+        if is_free_parallel(n, x, X, occupied, L):
+            want |= _cluster_walk(gp.ring_active, x, L)
+    eng = _ParallelEngine(g, gp, Q, D, VisitConfig(L=L))
+    eng.step()
+    assert eng.in_q == want and all(type(y) is int for y in eng.in_q)
+    assert eng.r == Q and eng.d == D
+    assert [x for x in range(n) if eng.occ.mask[x]] == sorted(occupied | want)
+    return want
+
+
+@pytest.mark.parametrize("n, bridges, ring_off, Q, L, want", [
+    # Q has no retained bridge: X is empty
+    (12, [(3, 9)], (), {0}, 2, set()),
+    # one candidate, its cluster cut short by a missing ring edge
+    (12, [(0, 6)], (7,), {0}, 2, {4, 5, 6, 7}),
+    # two candidates 2L+1 apart either side of the 0/n-1 seam, their
+    # clusters crossing it
+    (40, [(20, 38), (22, 5)], (), {20, 22}, 3, {35, 36, 37, 38, 39, 0, 1, 2, 3, 4, 5, 6, 7, 8}),
+    # the same pair 2L apart: neither is free
+    (40, [(20, 38), (22, 4)], (), {20, 22}, 3, set()),
+    # n <= 2L+1: every node lies within L of Q
+    (7, [(0, 3)], (), {0}, 3, set()),
+])
+def test_parallel_round_matches_the_oracles_on_hand_cases(n, bridges, ring_off, Q, L, want):
+    g, gp = _hand_graph(n, bridges, ring_off=ring_off)
+    assert _check_parallel_round(g, gp, Q, set(), L) == want
+
+
+def test_parallel_round_matches_the_oracles_on_random_graphs():
+    rng = Seed(2718).generator()
+    for _ in range(300):
+        n = int(rng.integers(3, 80))
+        g = sample_swg_erdos(n, float(rng.uniform(0.5, 3)), rng)
+        gp = percolate(g, float(rng.random()), float(rng.random()), rng)
+        nodes = rng.permutation(n).tolist()
+        q = int(rng.integers(1, min(n, 8) + 1))
+        Q, D = set(nodes[:q]), set(nodes[q:q + int(rng.integers(0, 4))])
+        _check_parallel_round(g, gp, Q, D, int(rng.integers(1, 6)))
+
+
+@pytest.mark.parametrize("visit", [
+    lambda g, gp, v: union_l_visit(g, gp, {v}, VisitConfig(L=2)),
+    lambda g, gp, v: parallel_l_visit(g, gp, {v}, set(), VisitConfig(L=2)),
+    lambda g, gp, v: sequential_l_visit(g, gp, {0}, {v}, VisitConfig(L=2)),
+    lambda g, gp, v: plain_bfs(gp, v),
+])
+@pytest.mark.parametrize("node", [1.0, 2.0, True, np.float64(3.0), np.bool_(True)])
+def test_visits_refuse_non_integer_nodes(visit, node):
+    # at the parent a float raised a memoryview TypeError or ran, and True
+    # ran as node 1
+    g, gp = _hand_graph(12, [(0, 6)])
+    with pytest.raises(ValueError, match=re.escape(f"node {node!r} is a {type(node).__name__},")):
+        visit(g, gp, node)
+
+
+def test_visits_accept_numpy_integer_nodes():
+    g, gp = _hand_graph(12, [(0, 6)])
+    for v in (np.int64(0), np.int32(0), np.uint8(0)):
+        assert parallel_l_visit(g, gp, {v}, set(), VisitConfig(L=2)).final_r == {0, 4, 5, 6, 7, 8}
+        assert plain_bfs(gp, v).final_r == set(range(12))
 
 
 # ---------------------------------------------------------------------------
