@@ -222,55 +222,45 @@ class _Contracted:
     """A trial's graph at a grid level m that holds no giant: each component
     at m is one node, weighted by its size, and the edges whose levels lie
     above m and below the lowest level known to hold a giant join them,
-    u < v, sorted by level."""
+    u < v, sorted by level.  Only the components those edges touch are kept
+    as nodes, so a narrow band costs what its edges cost; no other component
+    ever grows, and `heaviest` holds the largest weight of any."""
 
     def __init__(self, weight: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 level: np.ndarray):
+                 level: np.ndarray, heaviest: int = 0):
         # edges inside one component join nothing; dropping them keeps the
         # levels sorted
-        keep = np.flatnonzero(u != v)
-        u, v = u.take(keep), v.take(keep)
-        self.u, self.v = np.minimum(u, v), np.maximum(u, v)
-        self.level = level.take(keep)
-        self.weight = weight
-        self.heaviest = int(weight.max())
-
-    def largest(self, m: int) -> tuple:
-        """(size, grouping): the largest component size at level m, and what
-        `contract` needs to contract there.  Only the nodes that edges up to
-        m touch are labelled; every other component keeps its weight, and
-        none is heavier than the heaviest node."""
-        cut = int(np.searchsorted(self.level, m, side="right"))
-        if not cut:
-            none = np.empty(0, dtype=np.int64)
-            return self.heaviest, (none, none, none, cut)
-        u, v = self.u[:cut], self.v[:cut]
-        k = len(self.weight)
-        hit = np.zeros(k, dtype=bool)
+        keep = u != v
+        self.level = level.compress(keep)
+        self.heaviest = max(heaviest, int(weight.max(initial=0)))
+        u, v = np.minimum(u, v).compress(keep), np.maximum(u, v).compress(keep)
+        hit = np.zeros(len(weight), dtype=bool)
         hit[u] = True
         hit[v] = True
         touched = np.flatnonzero(hit)
-        pos = np.empty(k, dtype=np.int64)
+        self.weight = weight.take(touched)
+        # renumbering the touched nodes in order keeps u < v
+        pos = np.empty(len(weight), dtype=u.dtype)
         pos[touched] = np.arange(len(touched))
-        labels, _ = component_labels(GenericGraph(len(touched), pos.take(u), pos.take(v)))
-        merged = np.bincount(labels, weights=self.weight.take(touched)).astype(np.int64)
-        return max(self.heaviest, int(merged.max())), (touched, labels, merged, cut)
+        self.u, self.v = pos.take(u), pos.take(v)
+
+    def largest(self, m: int) -> tuple:
+        """(size, grouping): the largest component size at level m, and what
+        `contract` needs to contract there."""
+        cut = int(np.searchsorted(self.level, m, side="right"))
+        if not cut:
+            return self.heaviest, (np.arange(len(self.weight)), self.weight, cut)
+        labels, _ = component_labels(GenericGraph(len(self.weight), self.u[:cut], self.v[:cut]))
+        merged = np.bincount(labels, weights=self.weight).astype(np.int64)
+        return max(self.heaviest, int(merged.max())), (labels, merged, cut)
 
     def contract(self, m: int, top: int, grouping: tuple) -> "_Contracted":
         """The graph at level m, below a giant at level top, from the
         grouping `largest(m)` returned."""
-        touched, labels, merged, cut = grouping
-        k = len(self.weight)
-        rest = np.ones(k, dtype=bool)
-        rest[touched] = False
-        rest = np.flatnonzero(rest)
-        node = np.empty(k, dtype=np.int64)
-        node[touched] = labels
-        node[rest] = len(merged) + np.arange(len(rest))
+        labels, merged, cut = grouping
         end = int(np.searchsorted(self.level, top))
-        return _Contracted(np.concatenate([merged, self.weight.take(rest)]),
-                           node.take(self.u[cut:end]), node.take(self.v[cut:end]),
-                           self.level[cut:end])
+        return _Contracted(merged, labels.take(self.u[cut:end]), labels.take(self.v[cut:end]),
+                           self.level[cut:end], self.heaviest)
 
 
 class _CoupledTrial:
@@ -313,27 +303,40 @@ class _CoupledTrial:
         return _Contracted(sizes, u.take(order), v.take(order), level.take(order))
 
 
+def _probe_level(lo: int, hi: int, preferred: tuple) -> int:
+    """The first preferred level strictly between lo and hi, else the midpoint."""
+    return next((m for m in preferred if lo < m < hi), (lo + hi) // 2)
+
+
 def _trial_crossings(model: ModelSpec, n: int, depth: int,
-                     seed: rngmod.Seed) -> tuple:
+                     seed: rngmod.Seed, guess: Optional[tuple] = None) -> tuple:
     """(g, s) for one trial on the 2^depth grid: g the lowest level in
     1..2^depth - 1 whose largest component is a giant (2^depth if none),
     s the highest whose largest component is small (0 if none).
 
     The trial is one sample percolated at probability 1/2 from the seed's
     stream; every other level cuts the same draw, so the largest component
-    grows with the level and each crossing is found by bisection.  The
-    giant crossing is bisected first; each answer also bounds s, and one
-    that holds no giant contracts the graph there, keeping only the edges
-    between it and the lowest giant level so far.  The small crossing is
-    then bisected from the contraction at the highest small level seen.
+    grows with the level and each crossing is searched in an interval that
+    every probe shrinks.  The giant crossing is searched first; each answer
+    also bounds s, and one that holds no giant contracts the graph there,
+    keeping only the edges between it and the lowest giant level so far.
+    The small crossing is then searched from the contraction at the highest
+    small level seen.  A guess, the (g, s) of an earlier trial, only orders
+    the probes: g, s - 1, g - 1, g + 1 in the giant search and s, s - 2,
+    s + 1 in the small one while they lie inside the interval, then its
+    midpoints (bisection, as without a guess).
     """
+    giant_first = small_first = ()
+    if guess is not None:
+        g, s = guess
+        giant_first, small_first = (g, s - 1, g - 1, g + 1), (s, s - 2, s + 1)
     gp, _ = model.percolated(n, 0.5, seed)
     stage = _CoupledTrial(gp, depth, model.name == "nonhom")
     del gp  # the levels replace its uniforms
     lo, hi = 0, 1 << depth
     s_stage, s_lo, s_hi = stage, lo, hi
     while hi - lo > 1:
-        m = (lo + hi) // 2
+        m = _probe_level(lo, hi, giant_first)
         size, grouping = stage.largest(m)
         kind = classify_largest(size, n)
         if kind == SUPER:
@@ -348,13 +351,22 @@ def _trial_crossings(model: ModelSpec, n: int, depth: int,
     giant = hi
     stage, lo, hi = s_stage, s_lo, s_hi
     while hi - lo > 1:
-        m = (lo + hi) // 2
+        m = _probe_level(lo, hi, small_first)
         size, grouping = stage.largest(m)
         if classify_largest(size, n) == SUB:
             stage, lo = stage.contract(m, hi, grouping), m
         else:
             hi = m
     return giant, lo
+
+
+def _chain_crossings(model: ModelSpec, n: int, depth: int, seeds: list) -> list:
+    """`_trial_crossings` of each seed's trial in turn, each guided by the
+    crossings of the trial before it."""
+    out: list = []
+    for seed in seeds:
+        out.append(_trial_crossings(model, n, depth, seed, out[-1] if out else None))
+    return out
 
 
 def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
@@ -369,8 +381,11 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
     retained at every level above its uniform, so each trial's largest
     component grows with the level, and the trial records two crossings
     (`_trial_crossings`): the lowest level holding a giant and the highest
-    holding only small components.  `jobs` workers take whole trials, so the
-    result does not depend on it.  The bisection then reads each level's
+    holding only small components.  The trials run as k = min(jobs,
+    trials) chains, chain c taking trials c, c + k, ... in turn, each
+    searching from the previous trial's crossings; `jobs` workers take
+    chains of trials, and the crossings are the draws' own, so the result
+    does not depend on `jobs`.  The bisection then reads each level's
     classification off the crossings (`probe_point`); p=0 and p=1 are
     taken as subcritical/supercritical anchors without simulation.  An
     ambiguous level (no majority of giant or of small trials, the
@@ -390,8 +405,10 @@ def estimate_threshold(model: ModelSpec, n: int, trials_per_point: int,
     depth = 1
     while 0.5 ** depth > bracket_tolerance:
         depth += 1
-    args = [(model, n, depth, rngmod.derive(seed, i)) for i in range(trials_per_point)]
-    giant, small = np.array(_pool_map(_trial_crossings, args, jobs)).T
+    k = max(1, min(jobs, trials_per_point))
+    args = [(model, n, depth, [rngmod.derive(seed, i) for i in range(c, trials_per_point, k)])
+            for c in range(k)]
+    giant, small = np.array(sum(_pool_map(_chain_crossings, args, jobs), [])).T
     scale = 1 << depth
     lo, hi = 0, scale
     probes: list = []

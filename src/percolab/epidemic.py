@@ -23,6 +23,7 @@ import numpy as np
 
 from .graphs import (
     GenericGraph,
+    _check_integer,
     _check_probabilities,
     _cut,
     _edge_matrix,
@@ -155,9 +156,12 @@ _BLOCK_SIZE = 2 ** 17
 
 
 def _initial_nodes(g, I0) -> list:
-    """The distinct initially-infectious nodes, sorted; refuses an empty set
-    and nodes outside [0, n)."""
-    I0 = sorted(set(I0))
+    """The distinct initially-infectious nodes, sorted; refuses an empty set,
+    a node that is not an integer and nodes outside [0, n)."""
+    I0 = set(I0)
+    for v in I0:
+        _check_integer(v, "initial node")
+    I0 = sorted(I0)
     if not I0:
         raise ValueError("need a nonempty initially-infectious set")
     if I0[0] < 0 or I0[-1] >= g.n:

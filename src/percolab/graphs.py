@@ -22,6 +22,12 @@ import numpy as np
 # graph types
 # ---------------------------------------------------------------------------
 
+def _check_integer(x, what: str) -> None:
+    """Refuse x unless it is a Python or numpy integer; a bool is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} {x!r} is a {type(x).__name__}, not an integer")
+
+
 def _check_edge_arrays(n: int, u: np.ndarray, v: np.ndarray, what: str) -> None:
     for ends in (u, v):
         if not isinstance(ends, np.ndarray) or ends.ndim != 1:
@@ -294,6 +300,7 @@ def sample_swg_erdos(n: int, c: float, rng: np.random.Generator) -> SmallWorldGr
     Sampling skips over the pair space with geometric gaps, so the cost is
     O(expected number of bridges), not O(n^2).
     """
+    _check_integer(n, "n")
     if n < 3:
         raise ValueError("need n >= 3")
     if not c >= 0:  # also refuses nan
@@ -329,6 +336,7 @@ def sample_swg_matching(n: int, rng: np.random.Generator) -> SmallWorldGraph:
     Matching edges that coincide with ring edges are excluded from the bridge
     set, so every node ends up with bridge degree 0 or 1.
     """
+    _check_integer(n, "n")
     if n < 4 or n % 2 != 0:
         raise ValueError("need even n >= 4")
     perm = rng.permutation(n)
@@ -352,6 +360,8 @@ def sample_regular(n: int, d: int, rng: np.random.Generator) -> GenericGraph:
     a self-loop or a multi-edge; the conditional law is the uniform pairing
     model restricted to simple outcomes.
     """
+    _check_integer(n, "n")
+    _check_integer(d, "d")
     if n * d % 2 != 0:
         raise ValueError("n*d must be even")
     if not 0 <= d < n:

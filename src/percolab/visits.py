@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import PercolationGraph, SmallWorldGraph, _csr, _matrix, _row_entries, bfs_order
+from .graphs import (PercolationGraph, SmallWorldGraph, _check_integer, _csr, _matrix,
+                     _row_entries, bfs_order)
 from .local_clusters import RingOccupancy, local_cluster, truncated_local_cluster
 
 # termination reasons
@@ -84,8 +85,7 @@ class VisitTrace:
 
 
 def _check_node(n: int, v: int) -> None:
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"node {v!r} is a {type(v).__name__}, not an integer")
+    _check_integer(v, "node")
     if not 0 <= v < n:
         raise ValueError(f"node {v} outside [0, {n})")
 

@@ -190,21 +190,69 @@ _MODELS = [ModelSpec("swg", c=1.0), ModelSpec("matching"), ModelSpec("cycle"),
 @pytest.mark.parametrize("spec", _MODELS, ids=[spec.name for spec in _MODELS])
 def test_coupled_crossings_match_labelling_every_level(spec):
     # theta * n lies above 8 ln n at n = 4000 and below it at n = 1500,
-    # where a giant also counts as no small component
+    # where a giant also counts as no small component; a guess only orders
+    # the probes, so every guess, on the grid or off it and with g < s or
+    # not, gives the crossings of the draw
+    rng = np.random.default_rng(31)
     for n, depth in ((4000, 6), (4000, 3), (1500, 5)):
+        scale = 1 << depth
         for i in range(4):
             seed = derive(Seed(31), i)
-            assert analysis._trial_crossings(spec, n, depth, seed) == \
-                coupled_crossings_by_level(spec, n, depth, seed)
+            want = coupled_crossings_by_level(spec, n, depth, seed)
+            g, s = want
+            guesses = [None, want, (g - 1, s + 2), (g + 1, s - 2), (s, g), (-3, -7),
+                       (scale + 4, scale + 9), (0, scale), (scale, 0)]
+            guesses += [tuple(x) for x in rng.integers(-4, scale + 5, size=(6, 2)).tolist()]
+            for guess in guesses:
+                assert analysis._trial_crossings(spec, n, depth, seed, guess) == want, guess
+
+
+def test_contraction_counts_the_components_no_band_edge_touches():
+    # node 0 (weight 50) and node 4 touch no edge of the band, so they are
+    # not nodes of the contraction, yet node 0 stays the largest component
+    stage = analysis._Contracted(np.array([50, 1, 1, 1, 7]), np.array([1, 2]),
+                                 np.array([2, 3]), np.array([3, 5]))
+    size, grouping = stage.largest(3)
+    assert size == 50
+    stage = stage.contract(3, 6, grouping)
+    assert stage.largest(4)[0] == stage.largest(5)[0] == 50
+    # an edge inside one component leaves a contraction with no nodes
+    stage = analysis._Contracted(np.array([3, 4]), np.array([0]), np.array([0]), np.array([2]))
+    size, grouping = stage.largest(2)
+    assert size == 4
+    assert stage.contract(2, 5, grouping).largest(3)[0] == 4
 
 
 def test_estimate_threshold_does_not_depend_on_jobs(monkeypatch):
+    # 5 trials make chains of 3 and 2 trials at 2 jobs, of 2, 2 and 1 at 3,
+    # and of one trial each at 8
     spec = ModelSpec("swg", c=1.0)
     serial = estimate_threshold(spec, 5000, 5, 0.05, Seed(21))
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "requested", [])
-    assert estimate_threshold(spec, 5000, 5, 0.05, Seed(21), jobs=2) == serial
-    assert _InlinePool.requested == [2]
+    for jobs in (2, 3, 8):
+        assert estimate_threshold(spec, 5000, 5, 0.05, Seed(21), jobs=jobs) == serial
+    assert _InlinePool.requested == [2, 3, 5]
+
+
+def test_threshold_label_calls_are_pinned(monkeypatch):
+    # each trial's search starts at the crossings of the trial before it,
+    # which takes fewer labellings than bisecting every trial afresh
+    calls = []
+    real = analysis.component_labels
+
+    def counted(g):
+        calls.append(type(g).__name__)
+        return real(g)
+
+    monkeypatch.setattr(analysis, "component_labels", counted)
+    spec, seed = ModelSpec("swg", c=1.0), Seed(5)
+    estimate_threshold(spec, 20_000, 10, 0.05, seed)
+    chained = len(calls)
+    calls.clear()
+    for i in range(10):
+        analysis._trial_crossings(spec, 20_000, 5, derive(seed, i))
+    assert (chained, len(calls)) == (57, 69)
 
 
 def test_coupled_bracket_agrees_with_the_fresh_sample_bisection():

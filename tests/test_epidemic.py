@@ -119,6 +119,19 @@ def test_rf_requires_initial_infections():
         run_rf(fixture_graph(), set(), EpidemicConfig(p=0.5), Seed(0).generator())
 
 
+def test_initial_nodes_must_be_integers():
+    # 1.5 reached numpy's IndexError and True ran from node 1
+    g = fixture_graph()
+    for i0, kind in (({1.5}, "float"), ({True}, "bool"), ({0, 2.0}, "float"),
+                     ({np.float64(1)}, "float64")):
+        with pytest.raises(ValueError, match=f"initial node .* is a {kind}, not an integer"):
+            run_rf(g, i0, EpidemicConfig(p=0.5), Seed(0).generator())
+        with pytest.raises(ValueError, match=f"is a {kind}, not an integer"):
+            percolation_reachability_law(g, i0, 0.5, 0.5, 10, Seed(0).generator())
+    want = run_rf(g, {1}, EpidemicConfig(p=0.5), Seed(3).generator())
+    assert run_rf(g, {np.int64(1)}, EpidemicConfig(p=0.5), Seed(3).generator()) == want
+
+
 def test_partition_invariant_and_monotone_counts():
     g = fixture_graph()
     rng = Seed(2).generator()

@@ -191,6 +191,23 @@ def test_regular_sampler_degrees_and_simplicity():
     assert all(u != v for u, v in pairs)
 
 
+def test_samplers_refuse_a_size_or_degree_that_is_not_an_integer():
+    # 10.5 failed on the bridge arrays' dtype and 10.0 with numpy's AxisError
+    rng = Seed(0).generator()
+    for sample in (lambda n: sample_swg_erdos(n, 1.0, rng),
+                   lambda n: sample_swg_matching(n, rng),
+                   lambda n: sample_regular(n, 3, rng)):
+        for n, kind in ((10.5, "float"), (10.0, "float"), (True, "bool"),
+                        (np.float64(10), "float64"), ("10", "str")):
+            with pytest.raises(ValueError, match=f"^n .* is a {kind}, not an integer"):
+                sample(n)
+        assert sample(np.int64(10)).n == 10
+    # True drew a 1-regular graph
+    for d, kind in ((3.0, "float"), (True, "bool")):
+        with pytest.raises(ValueError, match=f"^d .* is a {kind}, not an integer"):
+            sample_regular(10, d, rng)
+
+
 def test_regular_rejects_odd_total_degree():
     with pytest.raises(ValueError):
         sample_regular(5, 3, Seed(0).generator())
